@@ -12,6 +12,9 @@ pinned by at least one fully concrete family.
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
 3 enumeration budget refusal (the message carries the computed cost).
+``sweep`` runs its points in order and writes a row for every point; a point
+that fails gets an ``error`` cell, and the exit code is then 3 if some point
+was refused for its budget and 2 otherwise.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -230,7 +232,7 @@ def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, float):
-        return x
+        return x if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -245,7 +247,7 @@ def _emit(payload: dict, args) -> None:
     fmt = getattr(args, "format", "json")
     out_path = getattr(args, "out", None)
     if fmt == "json":
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         rows = payload.get("rows")
         if rows is None:
@@ -278,7 +280,7 @@ def _maybe_emit_config(args, params: dict) -> None:
     path = getattr(args, "emit_config", None)
     if path:
         with open(path, "w") as fh:
-            json.dump(_jsonable(params), fh, indent=2, sort_keys=True)
+            json.dump(_jsonable(params), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -326,7 +328,7 @@ def _cmd_moment(args) -> int:
     word, payload = _word_payload(args)
     budget = None if args.force else wk.DEFAULT_BUDGET
     if args.mc:
-        cfg = mc.SamplerConfig(word.shape, args.samples, args.seed, args.streams)
+        cfg = mc.SamplerConfig(word.shape, args.samples, args.seed)
         rep = mc.mc_mixed_moment(word, cfg)
         payload.update({"samples": rep.samples, "seed": rep.seed,
                         "mean": rep.mean, "std_error": rep.std_error})
@@ -348,7 +350,7 @@ def _cmd_cumulant(args) -> int:
     word, payload = _word_payload(args)
     budget = None if args.force else wk.DEFAULT_BUDGET
     if args.mc:
-        cfg = mc.SamplerConfig(word.shape, args.samples, args.seed, args.streams)
+        cfg = mc.SamplerConfig(word.shape, args.samples, args.seed)
         rep = mc.mc_mixed_cumulant(word, cfg)
         payload.update({"samples": rep.samples, "seed": rep.seed,
                         "mean": rep.mean, "std_error": rep.std_error})
@@ -364,7 +366,7 @@ def _cmd_covariance(args) -> int:
     w2 = wk.WickWord(shape, parse_word(args.word2, args.M))
     payload = {"M": args.M, "P": args.P, "word1": args.word1, "word2": args.word2}
     if args.mc:
-        cfg = mc.SamplerConfig(shape, args.samples, args.seed, args.streams)
+        cfg = mc.SamplerConfig(shape, args.samples, args.seed)
         rep = mc.mc_covariance(w1, w2, cfg)
         payload.update({"samples": rep.samples, "seed": rep.seed,
                         "mean": rep.mean, "std_error": rep.std_error})
@@ -420,13 +422,13 @@ def _cmd_verdict(args) -> int:
 
 def _cmd_simulate(args) -> int:
     word, payload = _word_payload(args)
-    cfg = mc.SamplerConfig(word.shape, args.samples, args.seed, args.streams)
+    cfg = mc.SamplerConfig(word.shape, args.samples, args.seed)
     rep = mc.mc_mixed_moment(word, cfg)
     row = {"word": args.word, "M": args.M, "P": args.P, "samples": rep.samples,
            "seed": rep.seed, "mean": rep.mean, "std_error": rep.std_error}
     _maybe_emit_config(args, {"command": "simulate", "M": args.M, "P": args.P,
                               "word": args.word, "samples": args.samples,
-                              "seed": args.seed, "streams": args.streams})
+                              "seed": args.seed})
     _emit({"rows": [row]} if args.format == "csv" else row, args)
     return 0
 
@@ -445,8 +447,7 @@ def _sweep_point(job: dict) -> dict:
         w1 = wk.WickWord(shape, parse_word(job["word1"], M))
         w2 = wk.WickWord(shape, parse_word(job["word2"], M))
         if "samples" in job:
-            cfg = mc.SamplerConfig(shape, int(job["samples"]), int(job["seed"]),
-                                   int(job.get("streams", 1)))
+            cfg = mc.SamplerConfig(shape, int(job["samples"]), int(job["seed"]))
             rep = mc.mc_covariance(w1, w2, cfg)
             return {"command": cmd, "M": M, "P": P, "word1": job["word1"],
                     "word2": job["word2"], "samples": rep.samples, "seed": rep.seed,
@@ -461,14 +462,17 @@ def _sweep_point(job: dict) -> dict:
         return {"command": cmd, "M": M, "P": P, "word": job["word"],
                 "exact": str(val), "mean": "", "std_error": ""}
     if cmd == "simulate":
-        cfg = mc.SamplerConfig(shape, int(job["samples"]), int(job["seed"]),
-                               int(job.get("streams", 1)))
+        cfg = mc.SamplerConfig(shape, int(job["samples"]), int(job["seed"]))
         rep = mc.mc_mixed_moment(word, cfg)
         return {"command": cmd, "M": M, "P": P, "word": job["word"],
                 "samples": rep.samples, "seed": rep.seed,
                 "mean": format(rep.mean, ".17g"),
                 "std_error": format(rep.std_error, ".17g")}
     raise ValueError(f"sweep does not support command {cmd!r}")
+
+
+#: job keys that identify a sweep point in the row of a point that failed
+_SWEEP_ID_KEYS = ("M", "P", "word", "word1", "word2", "a", "b", "samples", "seed")
 
 
 def _cmd_sweep(args) -> int:
@@ -478,14 +482,19 @@ def _cmd_sweep(args) -> int:
     grid = config.get("grid")
     if not cmd or not isinstance(grid, list) or not grid:
         raise ValueError("sweep config needs `command` and a nonempty `grid` list")
-    jobs = []
+    rows, code = [], 0
     for point in grid:
         job = {k: v for k, v in config.items() if k != "grid"}
         job.update(point)
-        jobs.append(job)
-    workers = int(os.environ.get("PTLAB_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_point, jobs))
+        try:
+            rows.append(_sweep_point(job))
+        except (ValueError, ResourceLimitError) as exc:
+            refused = isinstance(exc, ResourceLimitError)
+            code = max(code, 3 if refused else 2)
+            print(f"{'resource refusal' if refused else 'error'}: sweep point {point}: {exc}",
+                  file=sys.stderr)
+            rows.append({"command": cmd, **{k: job[k] for k in _SWEEP_ID_KEYS if k in job},
+                         "error": str(exc)})
     fields = sorted({k for row in rows for k in row}, key=lambda k: (k != "command", k))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
@@ -498,7 +507,7 @@ def _cmd_sweep(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    return code
 
 
 def _cmd_selftest(args) -> int:
@@ -528,7 +537,6 @@ def _add_mc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, help="required for any Monte Carlo run")
-    p.add_argument("--streams", type=int, default=1, help="parallel sample streams")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -592,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--streams", type=int, default=1)
     p.add_argument("--emit-config", help="write the resolved parameters as JSON")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_simulate)

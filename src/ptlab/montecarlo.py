@@ -2,8 +2,7 @@
 
 Reproducibility contract: every sample k of a run draws its Gaussians from an
 independent counter-based substream keyed by (seed, k) (Philox), so results
-are bit-identical for fixed (seed, samples, parallel_streams) and do not
-depend on how samples are partitioned across streams.  Normal variates come
+are bit-identical for fixed (seed, samples).  Normal variates come
 from the Marsaglia polar transform applied to the substream's uniforms
 (pairs (u, v) are consumed in order, accepted pairs emit x then y), and trace
 reductions use error-free summation (math.fsum), so equal multisets of
@@ -35,13 +34,10 @@ class SamplerConfig:
     shape: MatrixShape
     samples: int
     seed: int
-    parallel_streams: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.parallel_streams < 1:
-            raise ValueError("parallel_streams must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -181,34 +177,6 @@ def mc_covariance(word1: WickWord, word2: WickWord, config: SamplerConfig) -> Es
     return EstimateReport(cov, se, config.samples, config.seed)
 
 
-def _float_free_cumulant(moment_of: dict[tuple[int, ...], np.ndarray],
-                         positions: tuple[int, ...]):
-    """Float/array version of the NC moment-to-cumulant recursion.
-
-    ``moment_of`` maps a sorted position tuple (a subword of the target word)
-    to its moment estimate (scalar or array of leave-one-out means).
-    """
-    memo: dict[tuple[int, ...], object] = {}
-
-    def kappa(w: tuple[int, ...]):
-        if w in memo:
-            return memo[w]
-        total = moment_of[w].copy() if isinstance(moment_of[w], np.ndarray) else moment_of[w]
-        n = len(w)
-        if n > 1:
-            for gamma in pts.enumerate_nc(n):
-                if len(gamma.blocks) == 1:
-                    continue
-                prod = 1.0
-                for b in gamma.blocks:
-                    prod = prod * kappa(tuple(w[t - 1] for t in b))
-                total = total - prod
-        memo[w] = total
-        return total
-
-    return kappa(positions)
-
-
 def mc_mixed_cumulant(word: WickWord, config: SamplerConfig) -> EstimateReport:
     """Plug-in estimate of the free cumulant of the word, jackknife std error.
 
@@ -216,29 +184,17 @@ def mc_mixed_cumulant(word: WickWord, config: SamplerConfig) -> EstimateReport:
     the NC combination of the moment means, and the error is the delete-one
     jackknife over samples.
     """
-    m = word.m
-    positions = tuple(range(1, m + 1))
-    subwords: set[tuple[int, ...]] = set()
-
-    def collect(w: tuple[int, ...]):
-        if w in subwords:
-            return
-        subwords.add(w)
-        if len(w) > 1:
-            for gamma in pts.enumerate_nc(len(w)):
-                if len(gamma.blocks) == 1:
-                    continue
-                for b in gamma.blocks:
-                    collect(tuple(w[t - 1] for t in b))
-
-    collect(positions)
+    positions = tuple(range(1, word.m + 1))
+    # a first pass with a recording moment lists the subwords the recursion needs
+    subwords: list[tuple[int, ...]] = []
+    pts.moments_to_free_cumulants(lambda w: subwords.append(w) or 0.0, positions)
     ordered = sorted(subwords)
-    words = [WickWord(word.shape, tuple(word.perms[t - 1] for t in w)) for w in ordered]
+    words = [word.subword(w) for w in ordered]
     stats = _statistics_per_sample(words, config) / config.shape.M
     n = config.samples
 
     means = {w: math.fsum(stats[k].tolist()) / n for k, w in enumerate(ordered)}
-    point = float(_float_free_cumulant(means, positions))
+    point = float(pts.moments_to_free_cumulants(means.__getitem__, positions))
     if n < 2:
         return EstimateReport(point, float("nan"), n, config.seed)
 
@@ -247,7 +203,7 @@ def mc_mixed_cumulant(word: WickWord, config: SamplerConfig) -> EstimateReport:
     for k, w in enumerate(ordered):
         S = math.fsum(stats[k].tolist())
         loo[w] = (S - stats[k]) / (n - 1)
-    theta = np.asarray(_float_free_cumulant(loo, positions), dtype=float)
+    theta = np.asarray(pts.moments_to_free_cumulants(loo.__getitem__, positions), dtype=float)
     theta_bar = theta.mean()
     se = math.sqrt((n - 1) / n * float(np.sum((theta - theta_bar) ** 2)))
     return EstimateReport(point, se, n, config.seed)
@@ -288,7 +244,7 @@ def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: Sampler
         raise ValueError("need a grid of at least 3 points")
     Ms, variances, tr_variances = [], [], []
     for M, word in jobs:
-        cfg = SamplerConfig(word.shape, config.samples, config.seed, config.parallel_streams)
+        cfg = SamplerConfig(word.shape, config.samples, config.seed)
         if statistic is None:
             vals = (_statistics_per_sample([word], cfg)[0] / word.shape.M).tolist()
         else:

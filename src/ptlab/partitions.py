@@ -295,14 +295,11 @@ def _nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     if m == 0:
         return ((),)
     out = []
-    for rest in itertools.combinations(range(2, m + 1), 0):
-        pass
     universe = list(range(2, m + 1))
     for size in range(0, m):
         for comb in itertools.combinations(universe, size):
             first_block = (1,) + comb
             # gaps: (a_i, a_{i+1}) exclusive intervals, plus the tail after max
-            pieces = []
             elems = list(first_block) + [m + 1]
             ok_pieces = []
             for a, b in zip(elems, elems[1:]):
@@ -348,13 +345,14 @@ def moments_to_free_cumulants(moment: Callable[[tuple], Fraction], word: tuple) 
     """Free cumulant kappa(word) from a mixed-moment functional.
 
     ``moment`` maps an ordered tuple of labels to its moment; it is consulted
-    for every subword selected by a noncrossing block.  The recursion
+    once for every subword selected by a noncrossing block.  The recursion
 
         kappa_n(w) = m_n(w) - sum over gamma in NC(n), gamma != 1_n of
                      prod over blocks B of kappa_|B|(w[B])
 
     terminates because every proper noncrossing partition has blocks of size
-    strictly less than n.
+    strictly less than n.  Moments may be ``Fraction``s, floats or ndarrays:
+    products start at the integer 1 and no moment is updated in place.
     """
     memo: dict[tuple, Fraction] = {}
 
@@ -367,10 +365,10 @@ def moments_to_free_cumulants(moment: Callable[[tuple], Fraction], word: tuple) 
             for gamma in enumerate_nc(n):
                 if len(gamma.blocks) == 1:
                     continue
-                prod = Fraction(1)
+                prod = 1
                 for b in gamma.blocks:
-                    prod *= kappa(_subword(w, b))
-                total -= prod
+                    prod = prod * kappa(_subword(w, b))
+                total = total - prod
         memo[w] = total
         return total
 

@@ -438,20 +438,22 @@ def count_fixed_points(perm: EntryPermutation) -> int:
     return count_agreements(perm, Identity(perm.M))
 
 
-#: threshold between the direct cube enumeration and the indexed path
+#: threshold between the direct cube enumeration and the matched-rows count
 _JOINT_CUBE_MAX_M = 64
 
 
 def count_joint(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     """The statistic j: number of (i, j, l) in [M]^3 with sigma(i,j) = tau(i,l).
 
-    Small M uses a direct enumeration of the M^3 cube; larger M an index on
-    tau's images keyed by the shared first argument.  Both paths agree.
+    Small M uses a direct enumeration of the M^3 cube; larger M matches the
+    encoded images row by row, the rows keyed by the shared first argument.
+    Both paths agree.
     """
     M = _check_same_M(sigma, tau)
     if M <= _JOINT_CUBE_MAX_M:
         return _count_joint_cube(sigma, tau)
-    return _count_joint_indexed(sigma, tau)
+    return _count_matched_rows(_encode(*sigma.image_arrays(), M),
+                               _encode(*tau.image_arrays(), M))
 
 
 def _count_joint_cube(sigma: EntryPermutation, tau: EntryPermutation) -> int:
@@ -460,19 +462,6 @@ def _count_joint_cube(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     et = _encode(*tau.image_arrays(), M)
     # es[i, j, None] against et[i, None, l]: one boolean M^3 cube
     return int(np.count_nonzero(es[:, :, None] == et[:, None, :]))
-
-
-def _count_joint_indexed(sigma: EntryPermutation, tau: EntryPermutation) -> int:
-    M = sigma.M
-    es = _encode(*sigma.image_arrays(), M)
-    et = _encode(*tau.image_arrays(), M)
-    total = 0
-    for i in range(M):
-        va, ca = np.unique(es[i], return_counts=True)
-        vb, cb = np.unique(et[i], return_counts=True)
-        _, ia, ib = np.intersect1d(va, vb, assume_unique=True, return_indices=True)
-        total += int(np.sum(ca[ia].astype(np.int64) * cb[ib], dtype=np.int64))
-    return total
 
 
 _PATTERNS = ("share_first", "share_middle", "share_second_slot")
@@ -517,6 +506,7 @@ def _triple_value_tables(sigma, tau, pattern, left_proj, right_proj):
 
 
 def _count_matched_rows(VL: np.ndarray, VR: np.ndarray) -> int:
+    """Number of (s, f, g) with VL[s, f] == VR[s, g]."""
     total = 0
     for s in range(VL.shape[0]):
         va, ca = np.unique(VL[s], return_counts=True)

@@ -94,11 +94,10 @@ class RationalMomentReport:
     word: WickWord
     per_pairing: dict[Pairing, Fraction]
     tuple_counts: dict[Pairing, int]
-    total: Fraction = field(default_factory=lambda: Fraction(0))
+    total: Fraction = field(init=False)
 
     def __post_init__(self):
-        if not self.total:
-            self.total = sum(self.per_pairing.values(), Fraction(0))
+        self.total = sum(self.per_pairing.values(), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +121,10 @@ def _j_orbit_ids(pairing: Pairing) -> list[int]:
     cached = _ORBIT_CACHE.get(pairing.partner)
     if cached is not None:
         return cached
-    m = pairing.m
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = pts._UnionFind(pairing.m)
     for t, s in _factor_pairs(pairing):
-        ra, rb = find(t - 1), find(s - 1)
-        if ra != rb:
-            parent[rb] = ra
-    ids = [find(k) for k in range(m)]
+        uf.union(t - 1, s - 1)
+    ids = [uf.find(k) for k in range(pairing.m)]
     _ORBIT_CACHE[pairing.partner] = ids
     return ids
 
@@ -178,20 +167,21 @@ def _iter_var_grid(n_vars: int, M: int, chunk: int = _CHUNK):
         yield cols
 
 
-def _count_constrained_i(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK) -> int:
-    """Number of assignments of the i-variables satisfying all l-equalities.
+def _constrained_chunks(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK):
+    """Yield (cols, mask) per chunk of the i-variable grid.
 
-    ``arg_spec`` lists, per factor, its two arguments as ("var", idx) or
-    ("const", value); variable indices are 0-based and contiguous.  Every
-    variable occurs in some factor argument, so the constraint mask always
-    broadcasts over the full grid chunk.
+    ``cols`` holds the variable values (pinned scalars or arrays, see
+    ``_iter_var_grid``) and ``mask`` marks the grid points satisfying every
+    l-equality.  ``arg_spec`` lists, per factor, its two arguments as
+    ("var", idx) or ("const", value); variable indices are 0-based and
+    contiguous.  With no variables (all arguments pinned) the mask is a
+    scalar.
     """
     n_vars = 0
     for a, b in arg_spec:
         for kind, v in (a, b):
             if kind == "var":
                 n_vars = max(n_vars, v + 1)
-    total = 0
     for cols in _iter_var_grid(n_vars, M, chunk):
         def resolve(spec):
             kind, v = spec
@@ -206,16 +196,18 @@ def _count_constrained_i(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK) ->
         for t, s in pairs:
             cond = ls[t - 1] == lms[s - 1]
             mask = cond if mask is None else (mask & cond)
-        if isinstance(mask, np.ndarray):
-            total += int(np.count_nonzero(mask))
-        else:
-            # scalar mask: no variables (all arguments pinned)
-            total += int(bool(mask))
-    return total
+        yield cols, mask
 
 
-def _cyclic_arg_spec(m: int) -> list:
-    return [(("var", k), ("var", (k + 1) % m)) for k in range(m)]
+def _count_constrained_i(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK) -> int:
+    """Number of assignments of the i-variables satisfying all l-equalities."""
+    return sum(int(np.count_nonzero(mask))
+               for _, mask in _constrained_chunks(perms, M, pairs, arg_spec, chunk))
+
+
+def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
+    """Arguments (i_k, i_{k+1}) of one trace cycle over variables offset..offset+m-1."""
+    return [(("var", offset + k), ("var", offset + (k + 1) % m)) for k in range(m)]
 
 
 def _structured_i_count(word: WickWord, pairing: Pairing) -> int | None:
@@ -242,19 +234,10 @@ def _structured_i_count(word: WickWord, pairing: Pairing) -> int | None:
         return y, x, x, y
 
     def orbit_count(edges) -> int:
-        parent = list(range(m + 1))
-
-        def find(z):
-            while parent[z] != z:
-                parent[z] = parent[parent[z]]
-                z = parent[z]
-            return z
-
+        uf = pts._UnionFind(m + 1)
         for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[rv] = ru
-        return len({find(z) for z in range(1, m + 1)})
+            uf.union(u, v)
+        return len({uf.find(z) for z in range(1, m + 1)})
 
     a_edges, b_edges = [], []
     for t, s in _factor_pairs(pairing):
@@ -271,8 +254,8 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
 
     Methods: "fast" counts i-tuples and multiplies by P^(number of j-orbits);
     "naive" enumerates the full (i, j) grid and tests the Wick weight
-    directly; "structured" is the closed form for constant-block words;
-    "auto" picks structured when eligible, fast otherwise.
+    directly; "auto" takes the closed form for words of partial transposes
+    sharing one (b, d), and "fast" otherwise.
     """
     m = word.m
     if pairing.m != m:
@@ -287,15 +270,12 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
                 f"naive enumeration cost (M*P)^m = {cost} exceeds budget {budget}", cost)
         return _count_admissible_naive(pairing, word)
 
-    if method in ("auto", "structured"):
+    if method not in ("auto", "fast"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "auto":
         n = _structured_i_count(word, pairing)
         if n is not None:
             return P ** _j_orbit_count(pairing) * n
-        if method == "structured":
-            raise ValueError("structured path requires a constant-block partial transpose word")
-
-    if method not in ("auto", "fast"):
-        raise ValueError(f"unknown method {method!r}")
     cost = M**m
     if budget is not None and cost > budget:
         raise ResourceLimitError(
@@ -375,22 +355,13 @@ def _valid_i_tuples(word: WickWord, pairing: Pairing,
     cost = M**m
     if budget is not None and cost > budget:
         raise ResourceLimitError(f"i-grid cost M^m = {cost} exceeds budget {budget}", cost)
-    pairs = _factor_pairs(pairing)
     rows = []
     count = 0
-    for cols in _iter_var_grid(m, M):
-        size = next(c.size for c in cols if isinstance(c, np.ndarray))
-        arrs = [c if isinstance(c, np.ndarray) else np.full(size, int(c), dtype=np.int64)
-                for c in cols]
-        ls, lms = [], []
-        for k in range(1, m + 1):
-            lk, lmk = word.perms[k - 1].eval_arrays(arrs[k - 1], arrs[k % m])
-            ls.append(lk)
-            lms.append(lmk)
-        mask = np.ones(size, dtype=bool)
-        for t, s in pairs:
-            mask &= ls[t - 1] == lms[s - 1]
-        sel = np.stack([a[mask] for a in arrs], axis=1)
+    for cols, mask in _constrained_chunks(word.perms, M, _factor_pairs(pairing),
+                                          _cyclic_arg_spec(m)):
+        # pinned scalars broadcast against the chunk instead of being copied
+        mask, *cols = np.broadcast_arrays(mask, *cols)
+        sel = np.stack([c[mask] for c in cols], axis=1)
         count += sel.shape[0]
         if count > max_tuples:
             raise ResourceLimitError(
@@ -457,49 +428,40 @@ def exact_trace_covariance(word1: WickWord, word2: WickWord,
     over the connected bipartite pairings of [2(m+r)] (those coupling the two
     trace cycles).
     """
-    if word1.shape != word2.shape:
-        raise ValueError("words must share one matrix shape")
-    m, r = word1.m, word2.m
-    K = m + r
-    if K > max_total:
-        raise ResourceLimitError(f"total word length {K} exceeds the cap {max_total}", K)
-    M, P = word1.shape.M, word1.shape.P
-    cost = M**K
-    if budget is not None and cost > budget:
-        raise ResourceLimitError(f"covariance grid cost M^(m+r) = {cost} exceeds budget", cost)
-
-    perms = word1.perms + word2.perms
-    arg_spec = [(("var", k), ("var", (k + 1) % m)) for k in range(m)]
-    arg_spec += [(("var", m + k), ("var", m + (k + 1) % r)) for k in range(r)]
-
-    total = 0
-    for pi in enumerate_bipartite_pairings(K):
-        if not _is_connected(pi, m):
-            continue
-        pairs = _factor_pairs(pi)
-        n_i = _count_constrained_i(perms, M, pairs, arg_spec)
-        total += P ** _j_orbit_count(pi) * n_i
-    return Fraction(total, M**K)
+    return _trace_pair_sum(word1, word2, budget, connected_only=True, max_total=max_total)
 
 
 def exact_trace_product_expectation(word1: WickWord, word2: WickWord,
                                     budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """E(Tr W^{sigmas} * Tr W^{taus}); all bipartite pairings, not just connected."""
+    return _trace_pair_sum(word1, word2, budget, connected_only=False)
+
+
+def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
+                    connected_only: bool, max_total: int | None = None) -> Fraction:
+    """M^-(m+r) times the admissible combined tuples of the two trace cycles.
+
+    Sums over the bipartite pairings of [2(m+r)], only those coupling the
+    two cycles when ``connected_only``.
+    """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
     m, r = word1.m, word2.m
     K = m + r
+    if max_total is not None and K > max_total:
+        raise ResourceLimitError(f"total word length {K} exceeds the cap {max_total}", K)
     M, P = word1.shape.M, word1.shape.P
     cost = M**K
     if budget is not None and cost > budget:
-        raise ResourceLimitError(f"grid cost M^(m+r) = {cost} exceeds budget", cost)
+        raise ResourceLimitError(f"grid cost M^(m+r) = {cost} exceeds budget {budget}", cost)
+
     perms = word1.perms + word2.perms
-    arg_spec = [(("var", k), ("var", (k + 1) % m)) for k in range(m)]
-    arg_spec += [(("var", m + k), ("var", m + (k + 1) % r)) for k in range(r)]
+    arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
     total = 0
     for pi in enumerate_bipartite_pairings(K):
-        pairs = _factor_pairs(pi)
-        n_i = _count_constrained_i(perms, M, pairs, arg_spec)
+        if connected_only and not _is_connected(pi, m):
+            continue
+        n_i = _count_constrained_i(perms, M, _factor_pairs(pi), arg_spec)
         total += P ** _j_orbit_count(pi) * n_i
     return Fraction(total, M**K)
 
@@ -524,8 +486,9 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None,
 
     For a constant word (Gamma(b, d), ..., Gamma(b, d)) and pairing nu_1 or
     nu_2 this evaluates  sum over u in J(m) of v(pi, sigmas, (a, u, b)),
-    enumerating the interior index grid directly.  The i_1 = a and
-    i_{m+1} = b endpoints replace the cyclic identification.
+    enumerating the interior i-grid directly; the j-count is P^(number of
+    j-orbits).  The i_1 = a and i_{m+1} = b endpoints replace the cyclic
+    identification.
     """
     m = word.m
     perms = word.perms
@@ -544,7 +507,7 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None,
     if not 1 <= b <= M:
         raise ValueError(f"endpoint b = {b} outside [1, {M}]")
 
-    cost = M ** (m - 1) + P**m
+    cost = M ** (m - 1)
     if budget is not None and cost > budget:
         raise ResourceLimitError(f"segment grid cost {cost} exceeds budget", cost)
 
@@ -557,12 +520,4 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None,
         right = ("const", b) if k == m else ("var", k - 1)
         arg_spec.append((left, right))
     n_i = _count_constrained_i(perms, M, pairs, arg_spec)
-
-    # j-count: direct enumeration of [P]^m under the pairing equalities
-    j_grid = np.indices((P,) * m).reshape(m, -1) + 1
-    mask = np.ones(j_grid.shape[1], dtype=bool)
-    for t, s in pairs:
-        mask &= j_grid[t - 1] == j_grid[s - 1]
-    n_j = int(np.count_nonzero(mask))
-
-    return Fraction(n_i * n_j, M**m)
+    return Fraction(n_i * P ** _j_orbit_count(pairing), M**m)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -104,6 +105,17 @@ def test_mc_seed_required_for_mc_flag(capsys):
     assert code == 2
 
 
+def test_single_sample_output_is_valid_json(capsys):
+    # one sample has no standard error: it is written as null, never NaN
+    for cmd, word in (("moment", "G(2,2)"), ("cumulant", "G(2,2),T")):
+        code, out, _ = run(capsys, cmd, "--M", "4", "--word", word, "--mc",
+                           "--samples", "1", "--seed", "3")
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+        assert payload["std_error"] is None
+        assert isinstance(payload["mean"], float)
+
+
 def test_exit_codes(capsys):
     assert cli.main(["moment", "--M", "8", "--word", "G(3,3)"]) == 2
     code = cli.main(["covariance", "--M", "256", "--word1", "I,I,I", "--word2", "I,I,I"])
@@ -154,7 +166,7 @@ def test_verdict_mixed_expressions(capsys):
     assert json.loads(out)["overall_free"] is True
 
 
-def test_sweep_round_trip(tmp_path, capsys, monkeypatch):
+def test_sweep_round_trip(tmp_path, capsys):
     config = {
         "command": "simulate",
         "word": "G(2,M/2)",
@@ -166,7 +178,6 @@ def test_sweep_round_trip(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(config))
     out1 = tmp_path / "out1.csv"
     out2 = tmp_path / "out2.csv"
-    monkeypatch.setenv("PTLAB_THREADS", "2")
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -216,6 +227,27 @@ def test_sweep_covariance_and_count(tmp_path):
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 3
+
+
+def test_sweep_keeps_rows_of_finished_points(tmp_path, capsys):
+    # M = 5 is invalid for G(2,2); the points on either side still get rows
+    config = {"command": "moment", "word": "G(2,2)", "grid": [{"M": 4}, {"M": 5}, {"M": 4}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "sweep point" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 3
+    assert [bool(r["error"]) for r in rows] == [False, True, False]
+    assert rows[0]["exact"] == rows[2]["exact"] != "" and rows[1]["M"] == "5"
+    # a budget refusal exits 3, again after writing every row
+    config = {"command": "covariance", "word1": "I,I,I", "word2": "I,I,I",
+              "grid": [{"M": 2}, {"M": 256}]}
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 3
+    rows = list(csv.DictReader(out.open()))
+    assert [bool(r["error"]) for r in rows] == [False, True]
 
 
 def test_selftest_subset(capsys):

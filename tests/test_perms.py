@@ -131,12 +131,13 @@ def test_count_joint_examples_and_paths():
     assert pm.count_joint(s, t) == 40 == pm.count_agreements(s, t)
     for sigma in (Identity(7), PartialTranspose(3, 4)):
         assert pm.count_joint(sigma, sigma) == sigma.M**2
-    # cube path and indexed path agree
+    # cube path and matched-rows path agree
     rng = np.random.default_rng(5)
     for M in (3, 6, 12):
         a = pm.random_symmetric_table(M, rng)
         b = pm.random_symmetric_table(M, rng)
-        assert pm._count_joint_cube(a, b) == pm._count_joint_indexed(a, b)
+        assert pm._count_joint_cube(a, b) == pm._count_matched_rows(
+            pm._encode(*a.image_arrays(), M), pm._encode(*b.image_arrays(), M))
 
 
 def test_projection_counts():
@@ -163,7 +164,7 @@ def test_projection_counts():
 
 def test_count_image_triples_matches_count_joint():
     rng = np.random.default_rng(6)
-    for M in (4, 6):
+    for M in (4, 6, 80):  # 80 takes count_joint's matched-rows path
         a = pm.random_symmetric_table(M, rng)
         b = pm.random_symmetric_table(M, rng)
         assert pm.count_image_triples(a, b, "share_first") == pm.count_joint(a, b)

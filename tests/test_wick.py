@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlab import partitions as pts
 from ptlab import perms as pm
@@ -95,10 +97,7 @@ def test_method_agreement_and_budget():
     for pi in pts.enumerate_bipartite_pairings(2):
         fast = wk.count_admissible(pi, w, method="fast")
         assert fast == wk.count_admissible(pi, w, method="naive")
-        assert fast == wk.count_admissible(pi, w, method="structured")
-    mixed = word(6, 5, PartialTranspose(2, 3), PartialTranspose(3, 2))
-    with pytest.raises(ValueError):
-        wk.count_admissible(pts.delta(2), mixed, method="structured")
+        assert fast == wk.count_admissible(pi, w)  # auto: the closed form
     big = word(256, 256, *(Identity(256),) * 5)
     with pytest.raises(ResourceLimitError):
         wk.count_admissible(pts.delta(5), big, method="fast")
@@ -106,6 +105,54 @@ def test_method_agreement_and_budget():
         wk.count_admissible(pts.delta(2), word(70000, 4, Identity(70000)), method="naive")
     with pytest.raises(ResourceLimitError):
         wk.exact_mixed_moment(word(4, 4, *(Identity(4),) * 7))
+
+
+def test_report_total_is_computed_from_per_pairing():
+    w = word(4, 3, PartialTranspose(2, 2), Transpose(4))
+    report = wk.exact_mixed_moment(w)
+    assert report.total == sum(report.per_pairing.values()) == Fraction(15, 16)
+    pi = pts.delta(1)
+    empty = wk.RationalMomentReport(word(4, 4, Identity(4)), {pi: Fraction(0)}, {pi: 0})
+    assert empty.total == 0
+    with pytest.raises(TypeError):
+        wk.RationalMomentReport(w, report.per_pairing, report.tuple_counts, Fraction(0))
+
+
+@st.composite
+def small_word_and_pairing(draw):
+    M = draw(st.integers(1, 4))
+    P = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perms = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["I", "T", "G", "LG", "D", "R"]))
+        if kind == "I":
+            perms.append(Identity(M))
+        elif kind == "T":
+            perms.append(Transpose(M))
+        elif kind in ("G", "LG"):
+            d = draw(st.sampled_from(divisors))
+            perms.append(PartialTranspose(M // d, d, Side.LEFT if kind == "LG" else Side.RIGHT))
+        elif kind == "D":
+            perms.append(pm.InducedDiagonal(draw(st.permutations(range(1, M + 1)))))
+        else:
+            perms.append(pm.random_symmetric_table(M, rng))
+    pairings = pts.enumerate_bipartite_pairings(m)
+    return word(M, P, *perms), pairings[draw(st.integers(0, len(pairings) - 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_word_and_pairing())
+def test_constraint_loop_consumers_agree(case):
+    # the chunked l-equality loop serves both the count and the tuple
+    # selection behind restricted counts; check each against enumeration
+    w, pi = case
+    fast = wk.count_admissible(pi, w, method="fast")
+    assert fast == wk.count_admissible(pi, w, method="naive")
+    assert fast == wk.count_admissible(pi, w)
+    assert wk.count_admissible_restricted(pi, w, range(1, 2 * w.m + 1)) == fast
 
 
 def test_restricted_counts_basics():
