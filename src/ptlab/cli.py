@@ -11,7 +11,9 @@ and ``inf``; the last two are resolved against the grid's M, which must be
 pinned by at least one fully concrete family.
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
-3 enumeration budget refusal (the message carries the computed cost).
+3 enumeration budget refusal (the message carries the computed cost; words
+whose block sizes form a divisor chain take the digit path, which builds no
+grid and is never refused).
 ``sweep`` runs its points in order and writes a row for every point; a point
 that fails gets an ``error`` cell, and the exit code is then 3 if some point
 was refused for its budget and 2 otherwise.
@@ -270,7 +272,8 @@ def _csv_cell(v):
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float):
-        return format(v, ".17g")
+        # a missing value (no standard error of one sample) is an empty cell
+        return format(v, ".17g") if math.isfinite(v) else ""
     if isinstance(v, (dict, list, tuple)):
         return json.dumps(_jsonable(v), sort_keys=True)
     return v
@@ -435,40 +438,45 @@ def _cmd_simulate(args) -> int:
 
 def _sweep_point(job: dict) -> dict:
     cmd = job["command"]
-    M, P = int(job["M"]), int(job.get("P", job["M"]))
+
+    def need(key):
+        if key not in job:
+            raise ValueError(f"sweep command {cmd!r} needs the key {key!r}")
+        return job[key]
+
+    M = int(need("M"))
+    P = int(job.get("P", M))
     shape = MatrixShape(M, P)
     if cmd == "count":
-        a = parse_perm_literal(job["a"], M)
-        b = parse_perm_literal(job["b"], M)
+        a = parse_perm_literal(need("a"), M)
+        b = parse_perm_literal(need("b"), M)
         return {"command": cmd, "M": M, "P": P, "a": job["a"], "b": job["b"],
                 "c": pm.count_agreements(a, b), "j": pm.count_joint(a, b),
                 "mean": "", "std_error": ""}
     if cmd == "covariance":
-        w1 = wk.WickWord(shape, parse_word(job["word1"], M))
-        w2 = wk.WickWord(shape, parse_word(job["word2"], M))
+        w1 = wk.WickWord(shape, parse_word(need("word1"), M))
+        w2 = wk.WickWord(shape, parse_word(need("word2"), M))
         if "samples" in job:
-            cfg = mc.SamplerConfig(shape, int(job["samples"]), int(job["seed"]))
+            cfg = mc.SamplerConfig(shape, int(job["samples"]), int(need("seed")))
             rep = mc.mc_covariance(w1, w2, cfg)
             return {"command": cmd, "M": M, "P": P, "word1": job["word1"],
                     "word2": job["word2"], "samples": rep.samples, "seed": rep.seed,
-                    "mean": format(rep.mean, ".17g"),
-                    "std_error": format(rep.std_error, ".17g")}
+                    "mean": _csv_cell(rep.mean), "std_error": _csv_cell(rep.std_error)}
         val = wk.exact_trace_covariance(w1, w2)
         return {"command": cmd, "M": M, "P": P, "word1": job["word1"],
                 "word2": job["word2"], "exact": str(val), "mean": "", "std_error": ""}
-    word = wk.WickWord(shape, parse_word(job["word"], M))
+    if cmd not in ("moment", "simulate"):
+        raise ValueError(f"sweep does not support command {cmd!r}")
+    word = wk.WickWord(shape, parse_word(need("word"), M))
     if cmd == "moment":
         val = wk.exact_mixed_moment(word).total
         return {"command": cmd, "M": M, "P": P, "word": job["word"],
                 "exact": str(val), "mean": "", "std_error": ""}
-    if cmd == "simulate":
-        cfg = mc.SamplerConfig(shape, int(job["samples"]), int(job["seed"]))
-        rep = mc.mc_mixed_moment(word, cfg)
-        return {"command": cmd, "M": M, "P": P, "word": job["word"],
-                "samples": rep.samples, "seed": rep.seed,
-                "mean": format(rep.mean, ".17g"),
-                "std_error": format(rep.std_error, ".17g")}
-    raise ValueError(f"sweep does not support command {cmd!r}")
+    cfg = mc.SamplerConfig(shape, int(need("samples")), int(need("seed")))
+    rep = mc.mc_mixed_moment(word, cfg)
+    return {"command": cmd, "M": M, "P": P, "word": job["word"],
+            "samples": rep.samples, "seed": rep.seed,
+            "mean": _csv_cell(rep.mean), "std_error": _csv_cell(rep.std_error)}
 
 
 #: job keys that identify a sweep point in the row of a point that failed

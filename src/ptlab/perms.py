@@ -14,6 +14,11 @@ with the counting statistics used by the freeness criteria:
 * ``count_joint(sigma, tau)``       -- number of (i, j, l) with sigma(i,j) = tau(i,l)
 * ``count_projection_agreement``    -- triple counts comparing one coordinate of
   the two images over a shared index pattern
+
+``digit_levels`` splits a word of ``I``, ``T`` and partial transposes whose
+block sizes form a divisor chain into mixed-radix digit levels on which every
+letter keeps or swaps its two arguments; the exact counters use it to count
+without enumerating index grids.
 """
 
 from __future__ import annotations
@@ -407,6 +412,61 @@ def gather_indices(perm: EntryPermutation) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# digit levels of divisor-chain words
+# ---------------------------------------------------------------------------
+
+def digit_levels(perms) -> list[tuple[int, int, tuple[bool, ...]]] | None:
+    """Digit levels on which every letter of a word keeps or swaps its arguments.
+
+    The sizes 1 = c_0 < c_1 < ... < c_K = M are the sorted set of 1, M and the
+    block size d of every partial transpose.  When each c_k divides c_{k+1},
+    a 0-based index x has the digits (x // c_k) % (c_{k+1} / c_k), and each
+    letter maps the digits of its arguments (x, y) at level k to the digits
+    of its image: (x_k, y_k) if it keeps there, (y_k, x_k) if it swaps.
+    ``I`` keeps at every level and ``T`` swaps at every level; ``G(b, d)``
+    swaps below d and keeps above it, ``LG(b, d)`` keeps below d and swaps
+    above it.
+
+    Returns one (base c_k, radix c_{k+1} / c_k, swaps) per level, with
+    swaps[t] True iff letter t swaps there, or None when the sizes are not a
+    divisor chain or a letter is of another kind.
+    """
+    sizes = {1, perms[0].M}
+    for p in perms:
+        if isinstance(p, PartialTranspose):
+            sizes.add(p.d)
+        elif not isinstance(p, (Identity, Transpose)):
+            return None
+    chain = sorted(sizes)
+    if any(hi % lo for lo, hi in zip(chain, chain[1:])):
+        return None
+    levels = []
+    for lo, hi in zip(chain, chain[1:]):
+        swaps = []
+        for p in perms:
+            if isinstance(p, PartialTranspose):
+                below = hi <= p.d
+                swaps.append(below if p.side is Side.RIGHT else not below)
+            else:
+                swaps.append(isinstance(p, Transpose))
+        levels.append((lo, hi // lo, tuple(swaps)))
+    return levels
+
+
+def _chain_pair_count(sigma: EntryPermutation, tau: EntryPermutation) -> int | None:
+    """c = j of a divisor-chain pair, or None for any other pair.
+
+    Per level the digits of the two images agree for every digit pair when
+    both letters act alike (radix^2), and only on equal digits otherwise
+    (radix); the triple count j has the same factors.
+    """
+    levels = digit_levels((sigma, tau))
+    if levels is None:
+        return None
+    return math.prod(radix ** (2 if s == t else 1) for _, radix, (s, t) in levels)
+
+
+# ---------------------------------------------------------------------------
 # counting statistics
 # ---------------------------------------------------------------------------
 
@@ -421,8 +481,17 @@ def _encode(R: np.ndarray, C: np.ndarray, M: int) -> np.ndarray:
 
 
 def count_agreements(sigma: EntryPermutation, tau: EntryPermutation) -> int:
-    """The statistic c: number of (i, j) in [M]^2 with sigma(i,j) = tau(i,j)."""
-    M = _check_same_M(sigma, tau)
+    """The statistic c: number of (i, j) in [M]^2 with sigma(i,j) = tau(i,j).
+
+    Divisor-chain pairs take the closed form; other pairs compare the image
+    tables.
+    """
+    _check_same_M(sigma, tau)
+    n = _chain_pair_count(sigma, tau)
+    return _count_agreements_table(sigma, tau) if n is None else n
+
+
+def _count_agreements_table(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     Rs, Cs = sigma.image_arrays()
     Rt, Ct = tau.image_arrays()
     return int(np.count_nonzero((Rs == Rt) & (Cs == Ct)))
@@ -445,11 +514,15 @@ _JOINT_CUBE_MAX_M = 64
 def count_joint(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     """The statistic j: number of (i, j, l) in [M]^3 with sigma(i,j) = tau(i,l).
 
-    Small M uses a direct enumeration of the M^3 cube; larger M matches the
+    Divisor-chain pairs take the closed form (j = c there).  For other pairs
+    small M uses a direct enumeration of the M^3 cube; larger M matches the
     encoded images row by row, the rows keyed by the shared first argument.
-    Both paths agree.
+    All paths agree.
     """
     M = _check_same_M(sigma, tau)
+    n = _chain_pair_count(sigma, tau)
+    if n is not None:
+        return n
     if M <= _JOINT_CUBE_MAX_M:
         return _count_joint_cube(sigma, tau)
     return _count_matched_rows(_encode(*sigma.image_arrays(), M),

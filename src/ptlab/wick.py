@@ -16,12 +16,29 @@ every pair.  Everything in this module is exact rational arithmetic.
 The Gaussian normalization E |g|^2 = 1/M (standard deviation 1/sqrt(M)) is
 the unique reading under which E tr W = P/M; every identity below asserts
 rational equality, no tolerances.
+
+The j-coordinates always contribute P^(number of j-orbits).  The i-count
+has one counter with two paths:
+
+* the digit path, for words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)``
+  whose block sizes, with 1 and M, form a divisor chain
+  (``perms.digit_levels``).  Each l-equality splits into one equality per
+  mixed-radix digit level, so the count is the product over levels of
+  radix^(free digit orbits); its cost does not grow with M;
+* the enumeration of the i-grid chunk by chunk, for every other word.  Only
+  this path builds a grid, so only it is held to the enumeration budget.
+
+``count_admissible`` has three methods: "auto" (the digit path when the
+word is a divisor chain, else the enumeration), "fast" (always the
+enumeration; the reference the digit path is checked against) and "naive"
+(the full (i, j) grid, testing the Wick weight directly).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +51,7 @@ from .perms import (
     PartialTranspose,
     ResourceLimitError,
     Side,
+    digit_levels,
 )
 
 #: default refusal threshold for enumeration grid sizes
@@ -67,6 +85,11 @@ class WickWord:
 
     def subword(self, positions: tuple[int, ...]) -> "WickWord":
         return WickWord(self.shape, tuple(self.perms[t - 1] for t in positions))
+
+    @cached_property
+    def digit_levels(self):
+        """``perms.digit_levels`` of the letters, worked out once per word."""
+        return digit_levels(self.perms)
 
 
 @dataclass(frozen=True)
@@ -177,12 +200,7 @@ def _constrained_chunks(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK):
     contiguous.  With no variables (all arguments pinned) the mask is a
     scalar.
     """
-    n_vars = 0
-    for a, b in arg_spec:
-        for kind, v in (a, b):
-            if kind == "var":
-                n_vars = max(n_vars, v + 1)
-    for cols in _iter_var_grid(n_vars, M, chunk):
+    for cols in _iter_var_grid(_n_vars(arg_spec), M, chunk):
         def resolve(spec):
             kind, v = spec
             return np.asarray(cols[v] if kind == "var" else np.int64(v))
@@ -199,10 +217,46 @@ def _constrained_chunks(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK):
         yield cols, mask
 
 
-def _count_constrained_i(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK) -> int:
-    """Number of assignments of the i-variables satisfying all l-equalities."""
-    return sum(int(np.count_nonzero(mask))
-               for _, mask in _constrained_chunks(perms, M, pairs, arg_spec, chunk))
+def _n_vars(arg_spec) -> int:
+    return 1 + max((v for a, b in arg_spec for kind, v in (a, b) if kind == "var"),
+                   default=-1)
+
+
+def _count_constrained_i(perms, M: int, pairs, arg_spec, levels=None) -> int:
+    """Number of assignments of the i-variables satisfying all l-equalities.
+
+    With the word's digit ``levels`` (``perms.digit_levels``) the equalities
+    split per level: there l_t = l_-s joins the nodes of the two arguments
+    that supply those digits, a variable or a constant's digit.  An orbit
+    holding two different constant digits admits nothing; otherwise the
+    level contributes radix^(orbits of variables with no constant).
+    Without levels the i-grid is enumerated.
+    """
+    if levels is None:
+        return sum(int(np.count_nonzero(mask))
+                   for _, mask in _constrained_chunks(perms, M, pairs, arg_spec))
+    n_vars = _n_vars(arg_spec)
+    count = 1
+    for base, radix, swaps in levels:
+        const_nodes: dict[int, int] = {}
+
+        def node(spec):
+            kind, v = spec
+            if kind == "var":
+                return v
+            return const_nodes.setdefault((v - 1) // base % radix,
+                                          n_vars + len(const_nodes))
+
+        # the arguments whose digits l_k and l_-k take at this level
+        ends = [(b, a) if swap else (a, b) for (a, b), swap in zip(arg_spec, swaps)]
+        uf = pts._UnionFind(n_vars + 2 * len(arg_spec))
+        for t, s in pairs:
+            uf.union(node(ends[t - 1][0]), node(ends[s - 1][1]))
+        pinned = {uf.find(z) for z in const_nodes.values()}
+        if len(pinned) < len(const_nodes):
+            return 0
+        count *= radix ** len({uf.find(v) for v in range(n_vars)} - pinned)
+    return count
 
 
 def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
@@ -210,52 +264,16 @@ def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
     return [(("var", offset + k), ("var", offset + (k + 1) % m)) for k in range(m)]
 
 
-def _structured_i_count(word: WickWord, pairing: Pairing) -> int | None:
-    """Closed-form i-count for words of partial transposes sharing one (b, d).
-
-    For a common block structure the l-equalities decouple into independent
-    equalities of block rows (values in [b]) and block offsets (values in
-    [d]); the count is b^(#row orbits) * d^(#offset orbits).  Returns None
-    when the word is not eligible.
-    """
-    perms = word.perms
-    if not all(isinstance(p, PartialTranspose) for p in perms):
-        return None
-    b, d = perms[0].b, perms[0].d
-    if any(p.b != b or p.d != d for p in perms):
-        return None
-    m = word.m
-
-    def slots(k: int) -> tuple[int, int, int, int]:
-        # (alpha slot of l_k, beta slot of l_k, alpha slot of l_-k, beta slot of l_-k)
-        x, y = k, (k + 1) % m or m
-        if perms[k - 1].side is Side.RIGHT:
-            return x, y, y, x
-        return y, x, x, y
-
-    def orbit_count(edges) -> int:
-        uf = pts._UnionFind(m + 1)
-        for u, v in edges:
-            uf.union(u, v)
-        return len({uf.find(z) for z in range(1, m + 1)})
-
-    a_edges, b_edges = [], []
-    for t, s in _factor_pairs(pairing):
-        at, bt, _, _ = slots(t)
-        _, _, ams, bms = slots(s)
-        a_edges.append((at, ams))
-        b_edges.append((bt, bms))
-    return b ** orbit_count(a_edges) * d ** orbit_count(b_edges)
-
-
 def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
                      budget: int | None = DEFAULT_BUDGET) -> int:
     """#A(pi, sigmas): admissible index tuples of the word under the pairing.
 
-    Methods: "fast" counts i-tuples and multiplies by P^(number of j-orbits);
-    "naive" enumerates the full (i, j) grid and tests the Wick weight
-    directly; "auto" takes the closed form for words of partial transposes
-    sharing one (b, d), and "fast" otherwise.
+    Methods: "auto" counts the i-tuples on the digit path when the word's
+    block sizes form a divisor chain and enumerates the i-grid otherwise;
+    "fast" always enumerates the i-grid; both multiply by P^(number of
+    j-orbits).  "naive" enumerates the full (i, j) grid and tests the Wick
+    weight directly.  ``budget`` caps the grid of the enumerating paths; the
+    digit path builds no grid and is never refused.
     """
     m = word.m
     if pairing.m != m:
@@ -272,15 +290,12 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
 
     if method not in ("auto", "fast"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        n = _structured_i_count(word, pairing)
-        if n is not None:
-            return P ** _j_orbit_count(pairing) * n
+    levels = word.digit_levels if method == "auto" else None
     cost = M**m
-    if budget is not None and cost > budget:
+    if levels is None and budget is not None and cost > budget:
         raise ResourceLimitError(
             f"fast enumeration cost M^m = {cost} exceeds budget {budget}", cost)
-    n_i = _count_constrained_i(word.perms, M, pairs, _cyclic_arg_spec(m))
+    n_i = _count_constrained_i(word.perms, M, pairs, _cyclic_arg_spec(m), levels)
     return P ** _j_orbit_count(pairing) * n_i
 
 
@@ -451,17 +466,18 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     if max_total is not None and K > max_total:
         raise ResourceLimitError(f"total word length {K} exceeds the cap {max_total}", K)
     M, P = word1.shape.M, word1.shape.P
+    perms = word1.perms + word2.perms
+    levels = digit_levels(perms)
     cost = M**K
-    if budget is not None and cost > budget:
+    if levels is None and budget is not None and cost > budget:
         raise ResourceLimitError(f"grid cost M^(m+r) = {cost} exceeds budget {budget}", cost)
 
-    perms = word1.perms + word2.perms
     arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
     total = 0
     for pi in enumerate_bipartite_pairings(K):
         if connected_only and not _is_connected(pi, m):
             continue
-        n_i = _count_constrained_i(perms, M, _factor_pairs(pi), arg_spec)
+        n_i = _count_constrained_i(perms, M, _factor_pairs(pi), arg_spec, levels)
         total += P ** _j_orbit_count(pi) * n_i
     return Fraction(total, M**K)
 
@@ -480,15 +496,15 @@ def connected_bipairings(m: int, r: int) -> list[pts.BiPairing]:
 # segment sums (the nu_1 / nu_2 boundary sums of constant words)
 # ---------------------------------------------------------------------------
 
-def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None,
-                budget: int | None = DEFAULT_BUDGET) -> Fraction:
+def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None) -> Fraction:
     """Sum of Wick weights over interior tuples with pinned trace endpoints.
 
     For a constant word (Gamma(b, d), ..., Gamma(b, d)) and pairing nu_1 or
     nu_2 this evaluates  sum over u in J(m) of v(pi, sigmas, (a, u, b)),
-    enumerating the interior i-grid directly; the j-count is P^(number of
-    j-orbits).  The i_1 = a and i_{m+1} = b endpoints replace the cyclic
-    identification.
+    counting the interior i-tuples on the digit path (a constant word is a
+    divisor chain, so no grid is built and no budget applies; the endpoints
+    pin digits); the j-count is P^(number of j-orbits).  The i_1 = a and
+    i_{m+1} = b endpoints replace the cyclic identification.
     """
     m = word.m
     perms = word.perms
@@ -507,10 +523,6 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None,
     if not 1 <= b <= M:
         raise ValueError(f"endpoint b = {b} outside [1, {M}]")
 
-    cost = M ** (m - 1)
-    if budget is not None and cost > budget:
-        raise ResourceLimitError(f"segment grid cost {cost} exceeds budget", cost)
-
     pairs = _factor_pairs(pairing)
 
     # interior i-count: variables i_2 .. i_m, endpoints pinned
@@ -519,5 +531,5 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None,
         left = ("const", a) if k == 1 else ("var", k - 2)
         right = ("const", b) if k == m else ("var", k - 1)
         arg_spec.append((left, right))
-    n_i = _count_constrained_i(perms, M, pairs, arg_spec)
+    n_i = _count_constrained_i(perms, M, pairs, arg_spec, word.digit_levels)
     return Fraction(n_i * P ** _j_orbit_count(pairing), M**m)

@@ -116,18 +116,26 @@ def test_single_sample_output_is_valid_json(capsys):
         assert isinstance(payload["mean"], float)
 
 
+#: block sizes 2 and 3 form no divisor chain, so this covariance enumerates
+#: the 240^6 grid and is refused for its budget
+NON_CHAIN_COVARIANCE = ["covariance", "--M", "240", "--word1", "G(120,2),G(80,3),I",
+                        "--word2", "I,I,I"]
+
+
 def test_exit_codes(capsys):
     assert cli.main(["moment", "--M", "8", "--word", "G(3,3)"]) == 2
+    assert cli.main(NON_CHAIN_COVARIANCE) == 3
+    # a divisor-chain word takes the digit path and builds no grid
     code = cli.main(["covariance", "--M", "256", "--word1", "I,I,I", "--word2", "I,I,I"])
-    assert code == 3
+    assert code == 0
     capsys.readouterr()
 
 
 def test_budget_message_includes_cost(capsys):
-    code = cli.main(["covariance", "--M", "256", "--word1", "I,I,I", "--word2", "I,I,I"])
+    code = cli.main(NON_CHAIN_COVARIANCE)
     err = capsys.readouterr().err
     assert code == 3
-    assert str(256**6) in err
+    assert str(240**6) in err
 
 
 def test_verdict_command(capsys):
@@ -242,12 +250,38 @@ def test_sweep_keeps_rows_of_finished_points(tmp_path, capsys):
     assert [bool(r["error"]) for r in rows] == [False, True, False]
     assert rows[0]["exact"] == rows[2]["exact"] != "" and rows[1]["M"] == "5"
     # a budget refusal exits 3, again after writing every row
-    config = {"command": "covariance", "word1": "I,I,I", "word2": "I,I,I",
-              "grid": [{"M": 2}, {"M": 256}]}
+    config = {"command": "covariance", "word1": "G(M/2,2),G(M/3,3),I", "word2": "I,I",
+              "grid": [{"M": 6}, {"M": 240}]}
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 3
     rows = list(csv.DictReader(out.open()))
     assert [bool(r["error"]) for r in rows] == [False, True]
+
+
+def test_sweep_point_missing_key_is_an_error_row(tmp_path, capsys):
+    config = {"command": "moment", "grid": [{"M": 4}, {"M": 4, "word": "I"}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'word'" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert "'word'" in rows[0]["error"] and rows[1]["exact"] == "1"
+
+
+def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):
+    code, out, _ = run(capsys, "simulate", "--M", "4", "--word", "I", "--samples", "1",
+                       "--seed", "1", "--format", "csv")
+    assert code == 0
+    row = next(csv.DictReader(out.splitlines()))
+    assert row["std_error"] == "" and float(row["mean"]) > 0
+    config = {"command": "simulate", "word": "I", "samples": 1, "seed": 1, "grid": [{"M": 4}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    out_path = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    row = next(csv.DictReader(out_path.open()))
+    assert row["std_error"] == "" and row["mean"] == format(float(row["mean"]), ".17g")
 
 
 def test_selftest_subset(capsys):

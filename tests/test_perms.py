@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,41 @@ def test_count_joint_examples_and_paths():
         b = pm.random_symmetric_table(M, rng)
         assert pm._count_joint_cube(a, b) == pm._count_matched_rows(
             pm._encode(*a.image_arrays(), M), pm._encode(*b.image_arrays(), M))
+
+
+def test_digit_levels():
+    # G(2,4), LG(4,2) and T at M = 8: sizes 1 | 2 | 4 | 8, three binary levels
+    assert pm.digit_levels((PartialTranspose(2, 4), PartialTranspose(4, 2, Side.LEFT),
+                            Transpose(8), Identity(8))) == [
+        (1, 2, (True, False, True, False)),
+        (2, 2, (True, True, True, False)),
+        (4, 2, (False, True, True, False)),
+    ]
+    assert pm.digit_levels((Identity(1),)) == []
+    # 2 and 3 are incomparable; other kinds of letter have no digit action
+    assert pm.digit_levels((PartialTranspose(6, 2), PartialTranspose(4, 3))) is None
+    assert pm.digit_levels((Identity(3), pm.InducedDiagonal([2, 3, 1]))) is None
+
+
+def chain_alphabet(M):
+    return [Identity(M), Transpose(M)] + divisor_transposes(M) + \
+        divisor_transposes(M, Side.LEFT)
+
+
+def test_chain_pair_closed_forms_match_enumeration():
+    # on divisor-chain pairs c = j is the digit-level product; each
+    # enumerating path must give the same number
+    checked = 0
+    for M in (8, 12, 80):
+        for s, t in itertools.combinations_with_replacement(chain_alphabet(M), 2):
+            if pm.digit_levels((s, t)) is None:
+                continue
+            c = pm.count_agreements(s, t)
+            assert c == pm.count_joint(s, t) == pm._count_agreements_table(s, t)
+            assert c == pm._count_joint_cube(s, t) == pm._count_matched_rows(
+                pm._encode(*s.image_arrays(), M), pm._encode(*t.image_arrays(), M))
+            checked += 1
+    assert checked > 200
 
 
 def test_projection_counts():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptlab import partitions as pts
@@ -101,6 +101,12 @@ def test_method_agreement_and_budget():
     big = word(256, 256, *(Identity(256),) * 5)
     with pytest.raises(ResourceLimitError):
         wk.count_admissible(pts.delta(5), big, method="fast")
+    # the budget caps enumeration grids: the digit path builds none
+    assert wk.count_admissible(pts.delta(5), big) == 256**6
+    non_chain = word(240, 240, PartialTranspose(120, 2), PartialTranspose(80, 3),
+                     *(Identity(240),) * 3)
+    with pytest.raises(ResourceLimitError):
+        wk.count_admissible(pts.delta(5), non_chain)
     with pytest.raises(ResourceLimitError):
         wk.count_admissible(pts.delta(2), word(70000, 4, Identity(70000)), method="naive")
     with pytest.raises(ResourceLimitError):
@@ -153,6 +159,120 @@ def test_constraint_loop_consumers_agree(case):
     assert fast == wk.count_admissible(pi, w, method="naive")
     assert fast == wk.count_admissible(pi, w)
     assert wk.count_admissible_restricted(pi, w, range(1, 2 * w.m + 1)) == fast
+
+
+# ---------------------------------------------------------------------------
+# the digit path against the i-grid enumeration
+# ---------------------------------------------------------------------------
+
+def enumerated_i_count(perms, M, pairs, arg_spec):
+    return sum(int(np.count_nonzero(mask))
+               for _, mask in wk._constrained_chunks(perms, M, pairs, arg_spec))
+
+
+def assert_digit_path_exact(perms, M, pairs, arg_spec):
+    levels = pm.digit_levels(perms)
+    assert levels is not None
+    digit = wk._count_constrained_i(perms, M, pairs, arg_spec, levels)
+    assert digit == enumerated_i_count(perms, M, pairs, arg_spec), (perms, pairs, arg_spec)
+
+
+def pinned_arg_spec(m, a, b):
+    """Segment-sum arguments: i_1 = a and i_{m+1} = b pinned, i_2..i_m free."""
+    return [(("const", a) if k == 1 else ("var", k - 2),
+             ("const", b) if k == m else ("var", k - 1)) for k in range(1, m + 1)]
+
+
+def chain_letters(M, ds):
+    """I, T and the right and left partial transposes with the inner sizes ds."""
+    return [Identity(M), Transpose(M)] + [
+        PartialTranspose(M // d, d, side) for d in ds for side in (Side.RIGHT, Side.LEFT)]
+
+
+def digit_test_arg_specs(K, M):
+    """Cyclic, two-cycle and pinned-endpoint arguments of K letters.
+
+    For K = 4 only the shape of Var(Tr) of a two-letter word: two cycles of two.
+    """
+    two_cycles = [wk._cyclic_arg_spec(m) + wk._cyclic_arg_spec(K - m, offset=m)
+                  for m in range(1, K) if K < 4 or m == 2]
+    if K == 4:
+        return two_cycles
+    # endpoints that agree, or differ in the lowest or the highest digit
+    pinned = [pinned_arg_spec(K, a, b) for a, b in ((1, 1), (1, 2), (2, 2 + M // 2), (M, M))]
+    return [wk._cyclic_arg_spec(K)] + two_cycles + pinned
+
+
+def test_digit_path_matches_enumeration_exhaustive():
+    cells = 0
+    for M, ds, longest in ((4, (2,), 4), (8, (2, 4), 3), (12, (2, 4), 3), (12, (3, 6), 3)):
+        alphabet = chain_letters(M, ds)
+        for K in range(1, longest + 1):
+            pairings = [wk._factor_pairs(pi) for pi in pts.enumerate_bipartite_pairings(K)]
+            specs = digit_test_arg_specs(K, M)
+            for perms in itertools.product(alphabet, repeat=K):
+                for spec in specs:
+                    for pairs in pairings:
+                        assert_digit_path_exact(perms, M, pairs, spec)
+                        cells += 1
+    assert cells > 20000
+
+
+@st.composite
+def chain_word_and_spec(draw):
+    M = draw(st.sampled_from([2, 4, 6, 8, 12, 16]))
+    chain = [1]
+    while chain[-1] < M:
+        chain.append(draw(st.sampled_from(
+            [c for c in range(chain[-1] + 1, M + 1) if M % c == 0 and c % chain[-1] == 0])))
+    m = draw(st.integers(1, 4))
+    perms = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["I", "T", "G", "LG"]))
+        if kind in ("G", "LG"):
+            d = draw(st.sampled_from(chain))
+            perms.append(PartialTranspose(M // d, d, Side.LEFT if kind == "LG" else Side.RIGHT))
+        else:
+            perms.append(Identity(M) if kind == "I" else Transpose(M))
+    # arguments: up to three shared variables or constants from a short list,
+    # so that two different constants often meet in one orbit
+    consts = draw(st.lists(st.integers(1, M), min_size=1, max_size=3))
+    arg = st.one_of(st.tuples(st.just("var"), st.integers(0, 2)),
+                    st.tuples(st.just("const"), st.sampled_from(consts)))
+    spec = [(draw(arg), draw(arg)) for _ in range(m)]
+    pairings = pts.enumerate_bipartite_pairings(m)
+    pairs = wk._factor_pairs(pairings[draw(st.integers(0, len(pairings) - 1))])
+    return tuple(perms), M, pairs, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_word_and_spec())
+@example(((Identity(4),), 4, [(1, 1)], [(("const", 1), ("const", 2))]))
+def test_digit_path_on_random_chain_words(case):
+    assert_digit_path_exact(*case)
+
+
+def test_digit_path_constant_clash_gives_zero():
+    # factor 1 takes (1, x) and factor 2 takes (x, 3); under G(2,2),
+    # l_1 = l_-2 needs the high digits of 1 and 3 to agree, so nothing is
+    # admissible
+    perms = (PartialTranspose(2, 2), PartialTranspose(2, 2))
+    spec = [(("const", 1), ("var", 0)), (("var", 0), ("const", 3))]
+    levels = pm.digit_levels(perms)
+    assert wk._count_constrained_i(perms, 4, [(1, 2), (2, 1)], spec, levels) == 0
+    assert enumerated_i_count(perms, 4, [(1, 2), (2, 1)], spec) == 0
+
+
+def test_chain_variance_closed_form_at_large_M(monkeypatch):
+    # Var(Tr) of G(2,M/2) G(M/2,2): M = 2^20 has no symmetry table (its
+    # side exceeds the cap); G is symmetric for every (b, d), as
+    # test_perms.test_is_symmetric checks exhaustively at small M
+    for M in (64, 1024, 2**20):
+        if M > pm.MAX_TABLE_SIDE:
+            monkeypatch.setattr(PartialTranspose, "is_symmetric", lambda self: True)
+        w = word(M, M, PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2))
+        assert wk.exact_trace_covariance(w, w) == \
+            6 + Fraction(65, 2 * M) + Fraction(64, M * M)
 
 
 def test_restricted_counts_basics():
