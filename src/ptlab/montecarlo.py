@@ -8,6 +8,11 @@ from the Marsaglia polar transform applied to the substream's uniforms
 reductions use error-free summation (math.fsum), so equal multisets of
 diagonal entries reduce to identical floats.
 
+The sampler draws, transforms, multiplies and gathers a block of samples per
+numpy call (at most ``_BLOCK_ENTRIES`` matrix entries).  The blocking is not
+part of the contract: every sample's draw is the one a generator of its own
+substream gives, whatever block it falls in.
+
 Gaussian convention: G has i.i.d. complex entries with E g = 0 and
 E |g|^2 = 1/M, split evenly between real and imaginary parts (variance
 1/(2M) each).  W = G G*.  Statistics are real parts of traces; all expected
@@ -27,6 +32,9 @@ from .perms import EntryPermutation, MatrixShape, gather_indices
 from .wick import WickWord
 
 _MASK64 = (1 << 64) - 1
+#: matrix entries (M x max(M, P) per sample) the sampler works on per block;
+#: larger blocks ran no faster and raised the peak memory
+_BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -53,43 +61,153 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def polar_normals(gen: np.random.Generator, n: int) -> np.ndarray:
+def _polar_batch(need: int) -> int:
+    """Candidate pairs in a round of the polar method that lacks ``need`` normals."""
+    return max(32, int(need / 0.7) + 8)
+
+
+def _polar_round(u01: np.ndarray, v01: np.ndarray, need: int) -> tuple[np.ndarray, np.ndarray]:
+    """One round of the polar method on rows of candidate pairs, one row per stream.
+
+    ``u01`` and ``v01`` hold the uniforms of each row's candidates in draw
+    order.  A row emits x then y of each accepted pair (0 < s < 1) until it has
+    ``need`` values.  Returns the (rows, need) values and how many of them
+    each row filled; a row's values past that count are not normals.
+    """
+    u = 2.0 * u01 - 1.0
+    v = 2.0 * v01 - 1.0
+    s = u * u + v * v
+    ok = (s > 0.0) & (s < 1.0)
+    pairs = (need + 1) // 2
+    counts = np.count_nonzero(ok, axis=1)
+    got = np.minimum(2 * counts, need)
+    hits = np.flatnonzero(ok)  # accepted candidates, row after row, in draw order
+    if hits.size == 0:
+        return np.empty((len(u), need)), got
+    # row r's j-th accepted candidate is hits[first[r] + j]; a row with fewer
+    # than ``pairs`` repeats its last one (or, with none, its neighbour's)
+    first = np.cumsum(counts) - counts
+    kept = hits[first[:, None] + np.minimum(np.arange(pairs), counts[:, None] - 1)]
+    sk = s.take(kept)
+    f = np.sqrt(-2.0 * np.log(sk) / sk)
+    xy = np.empty((len(u), pairs, 2))
+    np.multiply(u.take(kept), f, out=xy[..., 0])
+    np.multiply(v.take(kept), f, out=xy[..., 1])
+    return xy.reshape(len(u), 2 * pairs)[:, :need], got
+
+
+class _Substreams:
+    """The substreams (seed, k) of a block of samples ks, one row per sample."""
+
+    def __init__(self, seed: int, ks: range):
+        self.seed = seed
+        self.ks = ks
+
+    def generator(self, row: int) -> np.random.Generator:
+        return _substream(self.seed, self.ks[row])
+
+    def candidates(self, batch: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """The u and v uniforms of each row's first ``cols`` candidate pairs.
+
+        In a polar round of ``batch`` pairs these are the uniforms [0, cols)
+        and [batch, batch + cols) of the row's stream.  One Philox reads them
+        all: for a read from uniform ``start`` (a multiple of 4) its state is set
+        to key (seed, k), counter start // 4 and an empty buffer, the state of a
+        fresh ``_substream(seed, k)`` after ``start`` uniforms.  A gap of fewer
+        than 256 uniforms between the two ranges is read through, which costs
+        about as much as a second reset.
+        """
+        bitgen = np.random.Philox(key=np.array([self.seed & _MASK64, 0], dtype=np.uint64))
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state
+        key, counter = state["state"]["key"], state["state"]["counter"]
+        aligned = batch - batch % 4
+        reads = ([(0, batch + cols)] if aligned - cols < 256
+                 else [(0, cols), (aligned, batch + cols)])
+        buf = np.empty((len(self.ks), sum(stop - start for start, stop in reads)))
+        for row, k in enumerate(self.ks):
+            key[1] = k & _MASK64
+            at = 0
+            for start, stop in reads:
+                counter[0] = start // 4
+                bitgen.state = state
+                gen.random(out=buf[row, at:at + stop - start])
+                at += stop - start
+        return buf[:, :cols], buf[:, buf.shape[1] - cols:]
+
+    def normals(self, n: int) -> np.ndarray:
+        """Each row's n polar normals, as ``polar_normals`` draws them from its generator.
+
+        The round reads only as many candidates as n normals need but for a
+        chance of about 1e-15 per row (8 standard deviations past the mean at
+        an acceptance rate of pi/4); a row that falls short is redrawn alone.
+        """
+        batch = _polar_batch(n)
+        pairs = (n + 1) // 2
+        p = math.pi / 4
+        cols = min(batch, int((pairs + 8 * math.sqrt(pairs * (1 - p))) / p) + 16)
+        vals, got = _polar_round(*self.candidates(batch, cols), n)
+        for row in np.flatnonzero(got < n).tolist():
+            vals[row] = polar_normals(self.generator(row), n)
+        return vals
+
+
+def polar_normals(gen: np.random.Generator | _Substreams, n: int) -> np.ndarray:
     """n standard normals via the Marsaglia polar method (vectorized).
 
-    Candidate pairs are drawn in fixed-size batches; accepted pairs emit both
-    coordinates in draw order, making the output a pure function of the
-    generator's uniform stream.
+    Candidate pairs are drawn in rounds of ``max(32, int(need / 0.7) + 8)``,
+    u then v; accepted pairs emit both coordinates in draw order, making the
+    output a pure function of the generator's uniform stream.  ``gen`` is a
+    numpy Generator, or a block of sample substreams; then the result has one
+    row per sample, equal to what the sample's own generator gives.
     """
+    if isinstance(gen, _Substreams):
+        return gen.normals(n)
     out = np.empty(n)
     filled = 0
     while filled < n:
         need = n - filled
-        batch = max(32, int(need / 0.7) + 8)
-        u = 2.0 * gen.random(batch) - 1.0
-        v = 2.0 * gen.random(batch) - 1.0
-        s = u * u + v * v
-        ok = (s > 0.0) & (s < 1.0)
-        f = np.sqrt(-2.0 * np.log(s[ok]) / s[ok])
-        vals = np.column_stack((u[ok] * f, v[ok] * f)).ravel()
-        take = min(vals.size, need)
-        out[filled:filled + take] = vals[:take]
+        batch = _polar_batch(need)
+        uv = gen.random(2 * batch)
+        vals, got = _polar_round(uv[None, :batch], uv[None, batch:], need)
+        take = int(got[0])
+        out[filled:filled + take] = vals[0, :take]
         filled += take
     return out
 
 
-def sample_ginibre(shape: MatrixShape, gen: np.random.Generator) -> np.ndarray:
-    """One M x P Ginibre draw; 2MP normals, first half real parts (row-major)."""
+def sample_ginibre(shape: MatrixShape, gen: np.random.Generator | _Substreams) -> np.ndarray:
+    """One M x P Ginibre draw; 2MP normals, first half real parts (row-major).
+
+    From a block of sample substreams it gives the stack of their draws.
+    """
     M, P = shape.M, shape.P
     vals = polar_normals(gen, 2 * M * P) / math.sqrt(2 * M)
-    return (vals[:M * P] + 1j * vals[M * P:]).reshape(M, P)
+    return (vals[..., :M * P] + 1j * vals[..., M * P:]).reshape(vals.shape[:-1] + (M, P))
+
+
+def _wishart_stack(shape: MatrixShape, seed: int, ks: range) -> np.ndarray:
+    """The W = G G* draws of samples ks, stacked along the first axis."""
+    G = sample_ginibre(shape, _Substreams(seed, ks))
+    return G @ G.conj().transpose(0, 2, 1)
+
+
+def _block_samples(shape: MatrixShape) -> int:
+    return max(1, _BLOCK_ENTRIES // (shape.M * max(shape.M, shape.P)))
+
+
+def _wishart_blocks(config: SamplerConfig):
+    """Yield (first sample, W stack) for consecutive blocks of the run's samples."""
+    step = _block_samples(config.shape)
+    for start in range(0, config.samples, step):
+        ks = range(start, min(start + step, config.samples))
+        yield start, _wishart_stack(config.shape, config.seed, ks)
 
 
 def sample_wishart(config: SamplerConfig):
     """Yield the W = G G* draws of the run, one per sample substream."""
-    for k in range(config.samples):
-        gen = _substream(config.seed, k)
-        G = sample_ginibre(config.shape, gen)
-        yield G @ G.conj().T
+    for _, Ws in _wishart_blocks(config):
+        yield from Ws
 
 
 def _fsum_mean_se(vals: Sequence[float]) -> tuple[float, float]:
@@ -101,25 +219,19 @@ def _fsum_mean_se(vals: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _real_trace(A: np.ndarray) -> float:
-    return math.fsum(np.ascontiguousarray(np.diagonal(A)).real.tolist())
-
-
 class _WordEvaluator:
-    """Precomputed gather indices for tr / Tr of a word on a shared W draw."""
+    """Precomputed gather indices for tr / Tr of a word on stacks of W draws."""
 
-    def __init__(self, perms: Iterable[EntryPermutation]):
-        self.gathers = [gather_indices(p) for p in perms]
+    def __init__(self, perms: Iterable[EntryPermutation], M: int):
+        self.gathers = [rows * M + cols for rows, cols in map(gather_indices, perms)]
 
-    def product(self, W: np.ndarray) -> np.ndarray:
-        rows, cols = self.gathers[0]
-        prod = W[rows, cols]
-        for rows, cols in self.gathers[1:]:
-            prod = prod @ W[rows, cols]
-        return prod
-
-    def trace(self, W: np.ndarray) -> float:
-        return _real_trace(self.product(W))
+    def traces(self, Ws: np.ndarray) -> list[float]:
+        """Re Tr of the word on each W of the stack, one fsum per draw."""
+        flat = Ws.reshape(len(Ws), -1)
+        prod = flat.take(self.gathers[0], axis=1)
+        for idx in self.gathers[1:]:
+            prod = prod @ flat.take(idx, axis=1)
+        return [math.fsum(d) for d in np.diagonal(prod, axis1=1, axis2=2).real.tolist()]
 
 
 def _statistics_per_sample(words: Sequence[WickWord], config: SamplerConfig) -> np.ndarray:
@@ -127,11 +239,11 @@ def _statistics_per_sample(words: Sequence[WickWord], config: SamplerConfig) -> 
     for w in words:
         if w.shape != config.shape:
             raise ValueError(f"word shape {w.shape} != sampler shape {config.shape}")
-    evals = [_WordEvaluator(w.perms) for w in words]
+    evals = [_WordEvaluator(w.perms, config.shape.M) for w in words]
     out = np.empty((len(words), config.samples))
-    for k, W in enumerate(sample_wishart(config)):
+    for start, Ws in _wishart_blocks(config):
         for widx, ev in enumerate(evals):
-            out[widx, k] = ev.trace(W)
+            out[widx, start:start + len(Ws)] = ev.traces(Ws)
     return out
 
 
@@ -162,8 +274,9 @@ def sample_covariance(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, 
     xbar = math.fsum(xs) / n
     ybar = math.fsum(ys) / n
     prods = [(x - xbar) * (y - ybar) for x, y in zip(xs, ys)]
-    cov = math.fsum(prods) / (n - 1)
-    pmean = math.fsum(prods) / n
+    total = math.fsum(prods)
+    cov = total / (n - 1)
+    pmean = total / n
     pvar = math.fsum((p - pmean) ** 2 for p in prods) / (n - 1)
     return cov, math.sqrt(pvar / n)
 
@@ -193,16 +306,14 @@ def mc_mixed_cumulant(word: WickWord, config: SamplerConfig) -> EstimateReport:
     stats = _statistics_per_sample(words, config) / config.shape.M
     n = config.samples
 
-    means = {w: math.fsum(stats[k].tolist()) / n for k, w in enumerate(ordered)}
+    sums = [math.fsum(row.tolist()) for row in stats]
+    means = {w: S / n for w, S in zip(ordered, sums)}
     point = float(pts.moments_to_free_cumulants(means.__getitem__, positions))
     if n < 2:
         return EstimateReport(point, float("nan"), n, config.seed)
 
     # leave-one-out means: (S - x_i) / (n - 1), vectorized over i
-    loo = {}
-    for k, w in enumerate(ordered):
-        S = math.fsum(stats[k].tolist())
-        loo[w] = (S - stats[k]) / (n - 1)
+    loo = {w: (S - row) / (n - 1) for w, S, row in zip(ordered, sums, stats)}
     theta = np.asarray(pts.moments_to_free_cumulants(loo.__getitem__, positions), dtype=float)
     theta_bar = theta.mean()
     se = math.sqrt((n - 1) / n * float(np.sum((theta - theta_bar) ** 2)))
@@ -269,8 +380,6 @@ def as_convergence_path(jobs: Sequence[tuple[int, WickWord]], config: SamplerCon
     """
     path = []
     for g, (M, word) in enumerate(jobs):
-        gen = _substream(config.seed, g)
-        G = sample_ginibre(word.shape, gen)
-        W = G @ G.conj().T
-        path.append(_WordEvaluator(word.perms).trace(W) / word.shape.M)
+        Ws = _wishart_stack(word.shape, config.seed, range(g, g + 1))
+        path.append(_WordEvaluator(word.perms, word.shape.M).traces(Ws)[0] / word.shape.M)
     return path

@@ -50,7 +50,10 @@ def test_criterion_7_right_left_bounds(announce):
 
 
 def test_criterion_8_variance_scaling(announce):
-    announce(st.criterion_8())
+    result = st.criterion_8()
+    announce(result)
+    # exact Var(Tr) = 177/16, 265/32, 453/64, 835/128 at M = 8, 16, 32, 64
+    assert "(exact -2.2512, 0.049 inside -2.3)" in result.detail
 
 
 def test_criterion_9_limit_formulas(announce):
