@@ -30,8 +30,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import asymptotics as ay
 from . import montecarlo as mc
 from . import selftest as st
@@ -82,20 +80,11 @@ def parse_perm_literal(text: str, M: int) -> pm.EntryPermutation:
         return pm.InducedDiagonal(theta)
     m = re.fullmatch(r"P\((.+)\)", text)
     if m:
-        R = np.zeros((M, M), dtype=np.int64)
-        C = np.zeros((M, M), dtype=np.int64)
-        count = 0
         with open(m.group(1)) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                i, j, u, v = (int(x) for x in line.split())
-                R[i - 1, j - 1], C[i - 1, j - 1] = u, v
-                count += 1
-        if count != M * M:
-            raise ValueError(f"P-file holds {count} rows, expected M^2 = {M * M}")
-        return pm.TablePermutation(R, C)
+            rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+        if len(rows) != M * M:
+            raise ValueError(f"P-file holds {len(rows)} rows, expected M^2 = {M * M}")
+        return pm.TablePermutation.from_mapping(M, {(i, j): (u, v) for i, j, u, v in rows})
     raise ValueError(f"unrecognized permutation literal {text!r}")
 
 
@@ -566,11 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, required=True)
         p.add_argument("--P", type=int)
         p.add_argument("--word", required=True)
-        p.add_argument("--exact", action="store_true", help="exact rational (default)")
-        p.add_argument("--breakdown", action="store_true",
-                       help="per-pairing decomposition (moment only)")
         p.add_argument("--force", action="store_true", help="override the enumeration budget")
-        p.add_argument("--emit-config", help="write the resolved parameters as JSON")
+        if name == "moment":
+            p.add_argument("--breakdown", action="store_true", help="per-pairing decomposition")
+            p.add_argument("--emit-config", help="write the resolved parameters as JSON")
         _add_mc_args(p)
         _add_output_args(p)
         p.set_defaults(fn=fn)

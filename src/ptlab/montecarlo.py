@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -345,23 +345,18 @@ def fit_variance_slope(Ms: Sequence[int], variances: Sequence[float]) -> dict:
             "residuals": residuals, "degenerate": False}
 
 
-def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: SamplerConfig,
-                           statistic: Callable[[np.ndarray], float] | None = None) -> dict:
+def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: SamplerConfig) -> dict:
     """Variance of the normalized trace statistic along an M grid, plus fit.
 
     ``jobs`` is a list of (M, word); each grid point reruns the sampler with
-    the same seed and sample count at that word's shape.  ``statistic``
-    overrides the per-draw statistic (signature W -> float) for testing.
+    the same seed and sample count at that word's shape.
     """
     if len(jobs) < 3:
         raise ValueError("need a grid of at least 3 points")
     Ms, variances, tr_variances = [], [], []
     for M, word in jobs:
         cfg = SamplerConfig(word.shape, config.samples, config.seed)
-        if statistic is None:
-            vals = (_statistics_per_sample([word], cfg)[0] / word.shape.M).tolist()
-        else:
-            vals = [statistic(W) for W in sample_wishart(cfg)]
+        vals = (_statistics_per_sample([word], cfg)[0] / word.shape.M).tolist()
         mean = math.fsum(vals) / len(vals)
         var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
         Ms.append(M)

@@ -12,13 +12,16 @@ with the counting statistics used by the freeness criteria:
 
 * ``count_agreements(sigma, tau)``  -- number of (i, j) with sigma(i,j) = tau(i,j)
 * ``count_joint(sigma, tau)``       -- number of (i, j, l) with sigma(i,j) = tau(i,l)
+* ``count_image_triples``           -- triple counts comparing the full images
 * ``count_projection_agreement``    -- triple counts comparing one coordinate of
   the two images over a shared index pattern
 
 ``digit_levels`` splits a word of ``I``, ``T`` and partial transposes whose
 block sizes form a divisor chain into mixed-radix digit levels on which every
-letter keeps or swaps its two arguments; the exact counters use it to count
-without enumerating index grids.
+letter keeps or swaps its two arguments; ``count_on_digit_levels`` counts
+there, without tables, for every statistic above and the Wick oracle's
+i-count.  Other pairs compare image tables (c) or match the rows of two value
+tables (triples), at every M up to the table cap.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ResourceLimitError
+from .partitions import _UnionFind
 
 #: Largest matrix side for which M^2-sized tables/grids are materialized.
 MAX_TABLE_SIDE = 4096
@@ -99,6 +103,8 @@ class EntryPermutation:
     """
 
     M: int
+    #: True for kinds whose image of (j, i) is the swap of their image of (i, j)
+    _symmetric_by_construction = False
 
     def __call__(self, i: int, j: int) -> tuple[int, int]:
         raise NotImplementedError
@@ -132,7 +138,12 @@ class EntryPermutation:
         return cached
 
     def is_symmetric(self, max_side: int = MAX_TABLE_SIDE) -> bool:
-        """True iff sigma commutes with the swap t(a, b) = (b, a)."""
+        """True iff sigma commutes with the swap t(a, b) = (b, a).
+
+        Only kinds not symmetric by construction build their image tables.
+        """
+        if self._symmetric_by_construction:
+            return True
         R, C = self.image_arrays(max_side)
         return bool(np.array_equal(R.T, C))
 
@@ -144,6 +155,8 @@ class EntryPermutation:
 
 
 class Identity(EntryPermutation):
+    _symmetric_by_construction = True
+
     def __init__(self, M: int):
         if M < 1:
             raise ValueError("M must be >= 1")
@@ -167,6 +180,8 @@ class Identity(EntryPermutation):
 
 
 class Transpose(EntryPermutation):
+    _symmetric_by_construction = True
+
     def __init__(self, M: int):
         if M < 1:
             raise ValueError("M must be >= 1")
@@ -201,6 +216,8 @@ class PartialTranspose(EntryPermutation):
     the matrix level is the full transpose of the partially transposed matrix
     (blocks swapped, block interiors untouched).
     """
+
+    _symmetric_by_construction = True
 
     def __init__(self, b: int, d: int, side: Side = Side.RIGHT):
         self.spec = BlockSpec(b, d, side)
@@ -251,6 +268,8 @@ class PartialTranspose(EntryPermutation):
 
 class InducedDiagonal(EntryPermutation):
     """sigma(i, j) = (theta(i), theta(j)) for a point permutation theta of [M]."""
+
+    _symmetric_by_construction = True
 
     def __init__(self, theta: Iterable[int]):
         theta = tuple(int(t) for t in theta)
@@ -453,42 +472,87 @@ def digit_levels(perms) -> list[tuple[int, int, tuple[bool, ...]]] | None:
     return levels
 
 
-def _chain_pair_count(sigma: EntryPermutation, tau: EntryPermutation) -> int | None:
-    """c = j of a divisor-chain pair, or None for any other pair.
+def _n_vars(arg_spec) -> int:
+    return 1 + max((v for a, b in arg_spec for kind, v in (a, b) if kind == "var"),
+                   default=-1)
 
-    Per level the digits of the two images agree for every digit pair when
-    both letters act alike (radix^2), and only on equal digits otherwise
-    (radix); the triple count j has the same factors.
+
+def count_on_digit_levels(levels, arg_spec, equalities) -> int:
+    """Assignments of the variables, over [M], meeting every image equality.
+
+    ``arg_spec`` gives each letter's two arguments, ("var", k) or ("const",
+    v); ``equalities`` pairs ((letter, coord), (letter, coord)) of image
+    coordinates (0 or 1) that must agree.  At each of the letters' ``levels``
+    an image coordinate takes one argument's digit, so an equality joins two
+    nodes (variables or constant digits).  An orbit with two different
+    constant digits admits nothing; otherwise the level contributes
+    radix^(orbits of variables with no constant).
     """
-    levels = digit_levels((sigma, tau))
-    if levels is None:
-        return None
-    return math.prod(radix ** (2 if s == t else 1) for _, radix, (s, t) in levels)
+    n_vars = _n_vars(arg_spec)
+    count = 1
+    for base, radix, swaps in levels:
+        const_nodes: dict[int, int] = {}
+
+        def node(spec):
+            kind, v = spec
+            if kind == "var":
+                return v
+            return const_nodes.setdefault((v - 1) // base % radix,
+                                          n_vars + len(const_nodes))
+
+        # image coordinate x of letter t takes the digit of argument x, or of
+        # the other argument where the letter swaps
+        uf = _UnionFind(n_vars + 2 * len(arg_spec))
+        for (t, x), (s, y) in equalities:
+            uf.union(node(arg_spec[t][x ^ swaps[t]]), node(arg_spec[s][y ^ swaps[s]]))
+        pinned = {uf.find(z) for z in const_nodes.values()}
+        if len(pinned) < len(const_nodes):
+            return 0
+        count *= radix ** len({uf.find(v) for v in range(n_vars)} - pinned)
+    return count
 
 
 # ---------------------------------------------------------------------------
 # counting statistics
 # ---------------------------------------------------------------------------
 
-def _check_same_M(sigma: EntryPermutation, tau: EntryPermutation) -> int:
+#: the variables of sigma's and tau's arguments per triple pattern: (i, j)
+#: and (i, l), (j, l) or (k, j), with i, j and l or k the variables 0, 1, 2
+_PATTERNS = {"share_first": ((0, 1), (0, 2)), "share_middle": ((0, 1), (1, 2)),
+             "share_second_slot": ((0, 1), (2, 1))}
+#: the image coordinates each projection compares
+_PROJECTIONS = {"first": (0,), "second": (1,), "both": (0, 1)}
+
+
+def _check_same_M(sigma: EntryPermutation, tau: EntryPermutation) -> None:
     if sigma.M != tau.M:
         raise ValueError(f"dimension mismatch: {sigma.M} != {tau.M}")
-    return sigma.M
 
 
 def _encode(R: np.ndarray, C: np.ndarray, M: int) -> np.ndarray:
     return (R - 1) * M + (C - 1)
 
 
+def _chain_pair_statistic(levels, args, left_proj, right_proj) -> int:
+    """A statistic of a divisor-chain pair whose letters take the variables
+    ``args``: one equality per compared pair of image coordinates."""
+    arg_spec = [(("var", a), ("var", b)) for a, b in args]
+    equalities = [((0, x), (1, y))
+                  for x, y in zip(_PROJECTIONS[left_proj], _PROJECTIONS[right_proj])]
+    return count_on_digit_levels(levels, arg_spec, equalities)
+
+
 def count_agreements(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     """The statistic c: number of (i, j) in [M]^2 with sigma(i,j) = tau(i,j).
 
-    Divisor-chain pairs take the closed form; other pairs compare the image
-    tables.
+    Divisor-chain pairs are counted on their digit levels; other pairs
+    compare the image tables.
     """
     _check_same_M(sigma, tau)
-    n = _chain_pair_count(sigma, tau)
-    return _count_agreements_table(sigma, tau) if n is None else n
+    levels = digit_levels((sigma, tau))
+    if levels is None:
+        return _count_agreements_table(sigma, tau)
+    return _chain_pair_statistic(levels, ((0, 1), (0, 1)), "both", "both")
 
 
 def _count_agreements_table(sigma: EntryPermutation, tau: EntryPermutation) -> int:
@@ -507,86 +571,59 @@ def count_fixed_points(perm: EntryPermutation) -> int:
     return count_agreements(perm, Identity(perm.M))
 
 
-#: threshold between the direct cube enumeration and the matched-rows count
-_JOINT_CUBE_MAX_M = 64
-
-
 def count_joint(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     """The statistic j: number of (i, j, l) in [M]^3 with sigma(i,j) = tau(i,l).
 
-    Divisor-chain pairs take the closed form (j = c there).  For other pairs
-    small M uses a direct enumeration of the M^3 cube; larger M matches the
-    encoded images row by row, the rows keyed by the shared first argument.
-    All paths agree.
+    The ``share_first`` image-triple count: divisor-chain pairs are counted
+    on their digit levels (j = c there), other pairs match the encoded
+    images row by row, the rows keyed by the shared first argument.
     """
-    M = _check_same_M(sigma, tau)
-    n = _chain_pair_count(sigma, tau)
-    if n is not None:
-        return n
-    if M <= _JOINT_CUBE_MAX_M:
-        return _count_joint_cube(sigma, tau)
-    return _count_matched_rows(_encode(*sigma.image_arrays(), M),
-                               _encode(*tau.image_arrays(), M))
+    return _count_triples(sigma, tau, "share_first", "both", "both")
 
 
-def _count_joint_cube(sigma: EntryPermutation, tau: EntryPermutation) -> int:
-    M = sigma.M
-    es = _encode(*sigma.image_arrays(), M)
-    et = _encode(*tau.image_arrays(), M)
-    # es[i, j, None] against et[i, None, l]: one boolean M^3 cube
-    return int(np.count_nonzero(es[:, :, None] == et[:, None, :]))
-
-
-_PATTERNS = ("share_first", "share_middle", "share_second_slot")
-_PROJECTIONS = ("first", "second", "both")
-
-
-def _triple_value_tables(sigma, tau, pattern, left_proj, right_proj):
-    """Value tables VL[s, f], VR[s, f] indexed by (shared index, free index)."""
-    M = _check_same_M(sigma, tau)
+def _count_triples(sigma, tau, pattern, left_proj, right_proj) -> int:
+    """Triples of the pattern on which the projected images of sigma and tau agree."""
+    _check_same_M(sigma, tau)
     if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     if left_proj not in _PROJECTIONS or right_proj not in _PROJECTIONS:
         raise ValueError(f"unknown projection {left_proj!r}/{right_proj!r}")
+    levels = digit_levels((sigma, tau))
+    if levels is None:
+        return _count_matched_rows(
+            *_triple_value_tables(sigma, tau, pattern, left_proj, right_proj))
+    return _chain_pair_statistic(levels, _PATTERNS[pattern], left_proj, right_proj)
 
+
+def _triple_value_tables(sigma, tau, pattern, left_proj, right_proj):
+    """Value tables VL[s, f], VR[s, f] indexed by (shared index, free index)."""
+    M = sigma.M
+    _check_grid_side(M, MAX_TABLE_SIDE)
     idx = np.arange(1, M + 1, dtype=np.int64)
     S, F = np.meshgrid(idx, idx, indexing="ij")
+    left_args, right_args = _PATTERNS[pattern]
+    shared = (set(left_args) & set(right_args)).pop()
 
-    def table(perm, shared_slot, proj):
-        if shared_slot == 1:
-            R, C = perm.eval_arrays(S, F)
-        else:
-            R, C = perm.eval_arrays(F, S)
-        if proj == "first":
-            return R
-        if proj == "second":
-            return C
-        return _encode(R, C, M)
+    def table(perm, args, proj):
+        R, C = perm.eval_arrays(*(S if v == shared else F for v in args))
+        return R if proj == "first" else C if proj == "second" else _encode(R, C, M)
 
-    if pattern == "share_first":
-        # sigma(i, j) vs tau(i, l); shared = i in slot 1 of both
-        VL = table(sigma, 1, left_proj)
-        VR = table(tau, 1, right_proj)
-    elif pattern == "share_middle":
-        # sigma(i, j) vs tau(j, l); shared = j, slot 2 on the left, slot 1 on the right
-        VL = table(sigma, 2, left_proj)
-        VR = table(tau, 1, right_proj)
-    else:
-        # sigma(i, j) vs tau(k, j); shared = j in slot 2 of both
-        VL = table(sigma, 2, left_proj)
-        VR = table(tau, 2, right_proj)
-    return VL, VR
+    return table(sigma, left_args, left_proj), table(tau, right_args, right_proj)
 
 
 def _count_matched_rows(VL: np.ndarray, VR: np.ndarray) -> int:
-    """Number of (s, f, g) with VL[s, f] == VR[s, g]."""
-    total = 0
-    for s in range(VL.shape[0]):
-        va, ca = np.unique(VL[s], return_counts=True)
-        vb, cb = np.unique(VR[s], return_counts=True)
-        _, ia, ib = np.intersect1d(va, vb, assume_unique=True, return_indices=True)
-        total += int(np.sum(ca[ia].astype(np.int64) * cb[ib], dtype=np.int64))
-    return total
+    """Number of (s, f, g) with VL[s, f] == VR[s, g].
+
+    Each entry is keyed by (row, value) as one integer; the count sums, over
+    the keys on both sides, the product of their multiplicities.
+    """
+    lo = min(int(VL.min()), int(VR.min()))
+    span = max(int(VL.max()), int(VR.max())) - lo + 1
+    rows = np.arange(VL.shape[0], dtype=np.int64)[:, None] * span
+    kl, nl = np.unique(rows + (VL - lo), return_counts=True)
+    kr, nr = np.unique(rows + (VR - lo), return_counts=True)
+    _, il, ir = np.intersect1d(kl, kr, assume_unique=True, return_indices=True)
+    return int(np.dot(nl[il], nr[ir]))
 
 
 def count_projection_agreement(sigma: EntryPermutation, tau: EntryPermutation,
@@ -600,8 +637,7 @@ def count_projection_agreement(sigma: EntryPermutation, tau: EntryPermutation,
     """
     if left_proj == "both" or right_proj == "both":
         raise ValueError("use count_image_triples for full-image comparison")
-    VL, VR = _triple_value_tables(sigma, tau, pattern, left_proj, right_proj)
-    return _count_matched_rows(VL, VR)
+    return _count_triples(sigma, tau, pattern, left_proj, right_proj)
 
 
 def count_image_triples(sigma: EntryPermutation, tau: EntryPermutation,
@@ -610,8 +646,7 @@ def count_image_triples(sigma: EntryPermutation, tau: EntryPermutation,
 
     ``share_first`` recovers the statistic j = count_joint.
     """
-    VL, VR = _triple_value_tables(sigma, tau, pattern, "both", "both")
-    return _count_matched_rows(VL, VR)
+    return _count_triples(sigma, tau, pattern, "both", "both")
 
 
 @dataclass(frozen=True)

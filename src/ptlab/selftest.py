@@ -63,11 +63,13 @@ def criterion_1() -> CriterionResult:
                         continue
                     lcm = pm.gamma_lcm_data(p.d, q.d)
                     c = pm.count_agreements(p, q)
-                    # chain pairs take one closed form for c and j: hold j
-                    # to the enumerated M^3 cube as well
+                    # chain pairs count c and j on their digit levels: hold j
+                    # to the matched-rows enumeration of its tables as well
                     j = pm.count_joint(p, q)
-                    assert c == j == pm._count_joint_cube(p, q), \
-                        f"c != j for {p}, {q}: {c} vs {j}"
+                    rows = pm._count_matched_rows(
+                        *pm._triple_value_tables(p, q, "share_first", "both", "both"))
+                    assert c == j == rows, \
+                        f"c, j, rows differ for {p}, {q}: {c}, {j}, {rows}"
                     lo, hi = M * M // lcm.L**2, M * M // lcm.L
                     assert lo <= c <= hi, f"sandwich fails for {p}, {q}: {lo} <= {c} <= {hi}"
                     checked += 1

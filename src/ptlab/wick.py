@@ -24,7 +24,8 @@ has one counter with two paths:
   whose block sizes, with 1 and M, form a divisor chain
   (``perms.digit_levels``).  Each l-equality splits into one equality per
   mixed-radix digit level, so the count is the product over levels of
-  radix^(free digit orbits); its cost does not grow with M;
+  radix^(free digit orbits) (``perms.count_on_digit_levels``, the counter
+  the permutation statistics share); its cost does not grow with M;
 * the enumeration of the i-grid chunk by chunk, for every other word.  Only
   this path builds a grid, so only it is held to the enumeration budget.
 
@@ -51,6 +52,8 @@ from .perms import (
     PartialTranspose,
     ResourceLimitError,
     Side,
+    _n_vars,
+    count_on_digit_levels,
     digit_levels,
 )
 
@@ -217,46 +220,19 @@ def _constrained_chunks(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK):
         yield cols, mask
 
 
-def _n_vars(arg_spec) -> int:
-    return 1 + max((v for a, b in arg_spec for kind, v in (a, b) if kind == "var"),
-                   default=-1)
-
-
 def _count_constrained_i(perms, M: int, pairs, arg_spec, levels=None) -> int:
     """Number of assignments of the i-variables satisfying all l-equalities.
 
-    With the word's digit ``levels`` (``perms.digit_levels``) the equalities
-    split per level: there l_t = l_-s joins the nodes of the two arguments
-    that supply those digits, a variable or a constant's digit.  An orbit
-    holding two different constant digits admits nothing; otherwise the
-    level contributes radix^(orbits of variables with no constant).
+    With the word's digit ``levels`` (``perms.digit_levels``) each
+    l_t = l_-s is the equality of image coordinate 0 of letter t and
+    coordinate 1 of letter s, counted by ``perms.count_on_digit_levels``.
     Without levels the i-grid is enumerated.
     """
     if levels is None:
         return sum(int(np.count_nonzero(mask))
                    for _, mask in _constrained_chunks(perms, M, pairs, arg_spec))
-    n_vars = _n_vars(arg_spec)
-    count = 1
-    for base, radix, swaps in levels:
-        const_nodes: dict[int, int] = {}
-
-        def node(spec):
-            kind, v = spec
-            if kind == "var":
-                return v
-            return const_nodes.setdefault((v - 1) // base % radix,
-                                          n_vars + len(const_nodes))
-
-        # the arguments whose digits l_k and l_-k take at this level
-        ends = [(b, a) if swap else (a, b) for (a, b), swap in zip(arg_spec, swaps)]
-        uf = pts._UnionFind(n_vars + 2 * len(arg_spec))
-        for t, s in pairs:
-            uf.union(node(ends[t - 1][0]), node(ends[s - 1][1]))
-        pinned = {uf.find(z) for z in const_nodes.values()}
-        if len(pinned) < len(const_nodes):
-            return 0
-        count *= radix ** len({uf.find(v) for v in range(n_vars)} - pinned)
-    return count
+    return count_on_digit_levels(levels, arg_spec,
+                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs])
 
 
 def _cyclic_arg_spec(m: int, offset: int = 0) -> list:

@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +43,13 @@ def test_parse_perm_literals(tmp_path):
     pfile.write_text("\n".join(lines) + "\n")
     table = cli.parse_perm_literal(f"P({pfile})", 3)
     assert pm.extensionally_equal(table, pm.Transpose(3))
+    # M^2 rows, but one cell given twice and another not at all
+    pfile.write_text("\n".join(lines[:-1] + [lines[0]]) + "\n")
+    with pytest.raises(ValueError):
+        cli.parse_perm_literal(f"P({pfile})", 3)
+    pfile.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="P-file holds 8 rows"):
+        cli.parse_perm_literal(f"P({pfile})", 3)
 
 
 def test_parse_word():
@@ -61,19 +69,39 @@ def test_count_command(capsys):
     assert {"c2", "c3", "c2_sharesecond", "c3_sharesecond"} <= payload.keys()
 
 
+def test_chain_commands_answer_above_the_table_cap(capsys):
+    # a chain pair and a chain word at M = 8192 build no M x M table
+    code, out, _ = run(capsys, "count", "--M", "8192", "--a", "G(4096,2)", "--b", "LG(2,4096)",
+                       "--all")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["c"] == payload["j"] == 2**24 and payload["c2"] == 2**37
+    word = "G(2,M/2),G(M/2,2)"
+    code, out, _ = run(capsys, "covariance", "--M", "8192", "--word1", word, "--word2", word)
+    assert code == 0
+    M = 8192
+    assert Fraction(json.loads(out)["exact"]) == 6 + Fraction(65, 2 * M) + Fraction(64, M * M)
+
+
+def test_options_that_did_nothing_are_gone(capsys):
+    for argv in (("moment", "--exact"), ("cumulant", "--exact"), ("cumulant", "--breakdown"),
+                 ("cumulant", "--emit-config", "cfg.json")):
+        code, _, err = run(capsys, argv[0], "--M", "4", "--word", "I,I", *argv[1:])
+        assert code == 2 and "unrecognized arguments" in err
+
+
 def test_moment_command(capsys):
-    code, out, _ = run(capsys, "moment", "--M", "4", "--P", "4", "--word", "I,I", "--exact")
+    code, out, _ = run(capsys, "moment", "--M", "4", "--P", "4", "--word", "I,I")
     assert code == 0
     assert json.loads(out)["exact"] == "2"
-    code, out, _ = run(capsys, "moment", "--M", "8", "--word", "G(2,4),G(4,2)",
-                       "--exact", "--breakdown")
+    code, out, _ = run(capsys, "moment", "--M", "8", "--word", "G(2,4),G(4,2)", "--breakdown")
     payload = json.loads(out)
     assert payload["exact"] == "3/2"
     assert [row["pairing"] for row in payload["breakdown"]] == ["(1,2)(3,4)", "(1,4)(2,3)"]
 
 
 def test_cumulant_and_limit_commands(capsys):
-    code, out, _ = run(capsys, "cumulant", "--M", "12", "--word", "G(6,2),G(4,3)", "--exact")
+    code, out, _ = run(capsys, "cumulant", "--M", "12", "--word", "G(6,2),G(4,3)")
     assert code == 0
     assert json.loads(out)["exact"] == "5/18"
     code, out, _ = run(capsys, "limit", "--b", "2", "--d", "3", "--c", "1", "--orders", "4")
@@ -208,7 +236,7 @@ def test_emit_config_reruns_identically(tmp_path, capsys):
 
 
 def test_exact_and_mc_paths_agree_through_cli(capsys):
-    code, out, _ = run(capsys, "moment", "--M", "8", "--word", "G(2,4),G(4,2)", "--exact")
+    code, out, _ = run(capsys, "moment", "--M", "8", "--word", "G(2,4),G(4,2)")
     num, den = (json.loads(out)["exact"] + "/1").split("/")[:2]
     exact = int(num) / int(den)
     code, out, _ = run(capsys, "moment", "--M", "8", "--word", "G(2,4),G(4,2)",

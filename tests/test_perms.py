@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptlab import perms as pm
 from ptlab.errors import ResourceLimitError
@@ -93,6 +95,14 @@ def test_is_symmetric():
     C[0, 1], C[0, 2] = C[0, 2], C[0, 1]
     crooked = pm.TablePermutation(R, C)
     assert not crooked.is_symmetric()
+    assert not pm.compose(crooked, Identity(3)).is_symmetric()
+    # structured kinds answer above the table cap; compositions compare tables
+    big = 2 * pm.MAX_TABLE_SIDE
+    for g in (Identity(big), Transpose(big), PartialTranspose(2, big // 2),
+              PartialTranspose(big // 2, 2, Side.LEFT), pm.InducedDiagonal(range(big, 0, -1))):
+        assert g.is_symmetric()
+    with pytest.raises(ResourceLimitError):
+        pm.compose(Identity(big), Transpose(big)).is_symmetric()
 
 
 def test_symmetric_diagonal_characterization():
@@ -133,13 +143,13 @@ def test_count_joint_examples_and_paths():
     assert pm.count_joint(s, t) == 40 == pm.count_agreements(s, t)
     for sigma in (Identity(7), PartialTranspose(3, 4)):
         assert pm.count_joint(sigma, sigma) == sigma.M**2
-    # cube path and matched-rows path agree
+    # the matched-rows count against the direct M^3 cube of encoded images
     rng = np.random.default_rng(5)
     for M in (3, 6, 12):
         a = pm.random_symmetric_table(M, rng)
         b = pm.random_symmetric_table(M, rng)
-        assert pm._count_joint_cube(a, b) == pm._count_matched_rows(
-            pm._encode(*a.image_arrays(), M), pm._encode(*b.image_arrays(), M))
+        ea, eb = pm._encode(*a.image_arrays(), M), pm._encode(*b.image_arrays(), M)
+        assert pm.count_joint(a, b) == np.count_nonzero(ea[:, :, None] == eb[:, None, :])
 
 
 def test_digit_levels():
@@ -161,20 +171,98 @@ def chain_alphabet(M):
         divisor_transposes(M, Side.LEFT)
 
 
+PROJECTION_VARIANTS = [(pattern, lp, rp) for pattern in ("share_first", "share_middle",
+                                                           "share_second_slot")
+                       for lp in ("first", "second") for rp in ("first", "second")]
+
+
 def test_chain_pair_closed_forms_match_enumeration():
-    # on divisor-chain pairs c = j is the digit-level product; each
-    # enumerating path must give the same number
+    # on divisor-chain pairs every statistic is counted on the digit levels;
+    # each must equal its table enumeration, over all ordered chain pairs
     checked = 0
-    for M in (8, 12, 80):
-        for s, t in itertools.combinations_with_replacement(chain_alphabet(M), 2):
+    for M in (8, 12, 16, 24, 80):
+        for s, t in itertools.product(chain_alphabet(M), repeat=2):
             if pm.digit_levels((s, t)) is None:
                 continue
             c = pm.count_agreements(s, t)
             assert c == pm.count_joint(s, t) == pm._count_agreements_table(s, t)
-            assert c == pm._count_joint_cube(s, t) == pm._count_matched_rows(
-                pm._encode(*s.image_arrays(), M), pm._encode(*t.image_arrays(), M))
+            for pattern in ("share_first", "share_middle", "share_second_slot"):
+                assert pm.count_image_triples(s, t, pattern) == pm._count_matched_rows(
+                    *pm._triple_value_tables(s, t, pattern, "both", "both")), (s, t, pattern)
+            for pattern, lp, rp in PROJECTION_VARIANTS:
+                assert pm.count_projection_agreement(s, t, lp, rp, pattern) == \
+                    pm._count_matched_rows(*pm._triple_value_tables(s, t, pattern, lp, rp)), \
+                    (s, t, pattern, lp, rp)
             checked += 1
-    assert checked > 200
+    assert checked == 692 + 404
+
+
+def brute_matched_rows(VL, VR):
+    return sum(1 for s in range(VL.shape[0]) for f in range(VL.shape[1])
+               for g in range(VR.shape[1]) if VL[s, f] == VR[s, g])
+
+
+@st.composite
+def value_tables(draw):
+    """Two tables with one row per shared index: raw small integers, or the
+    projected or encoded ("both") image tables of two random permutations."""
+    rows = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        vals = st.integers(-3, 3)
+        VL = np.array(draw(st.lists(st.lists(vals, min_size=4, max_size=4),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+        VR = np.array(draw(st.lists(st.lists(vals, min_size=3, max_size=3),
+                                    min_size=rows, max_size=rows)), dtype=np.int64)
+        return VL, VR
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = pm.random_symmetric_table(rows, rng), pm.random_symmetric_table(rows, rng)
+    pattern = draw(st.sampled_from(["share_first", "share_middle", "share_second_slot"]))
+    lp, rp = draw(st.sampled_from([("both", "both")] + [v[1:] for v in PROJECTION_VARIANTS]))
+    return pm._triple_value_tables(a, b, pattern, lp, rp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_tables())
+def test_matched_rows_equals_triple_loop(tables):
+    assert pm._count_matched_rows(*tables) == brute_matched_rows(*tables)
+
+
+def test_statistics_validate_on_chain_pairs():
+    s, t = PartialTranspose(2, 2), PartialTranspose(2, 2, Side.LEFT)
+    assert pm.digit_levels((s, t)) is not None
+    for fn in (pm.count_agreements, pm.count_joint,
+               lambda a, b: pm.count_image_triples(a, b, "share_first"),
+               lambda a, b: pm.count_projection_agreement(a, b, "first", "first",
+                                                          "share_first")):
+        with pytest.raises(ValueError):
+            fn(s, Identity(8))
+    with pytest.raises(ValueError):
+        pm.count_image_triples(s, t, "bogus")
+    for lp, rp, pattern in (("both", "first", "share_middle"), ("first", "both", "share_first"),
+                            ("first", "third", "share_first"), ("first", "first", "bogus")):
+        with pytest.raises(ValueError):
+            pm.count_projection_agreement(s, t, lp, rp, pattern)
+
+
+def test_chain_statistics_build_no_table():
+    I = Identity(2**20)
+    assert pm.count_projection_agreement(I, I, "second", "first", "share_middle") == 2**60
+    s, t = PartialTranspose(4096, 2), PartialTranspose(2, 4096, Side.LEFT)
+    M = 8192
+    assert pm.count_agreements(s, t) == pm.count_joint(s, t) == M * M // 4
+    assert not hasattr(s, "_image_cache") and not hasattr(t, "_image_cache")
+
+
+def test_non_chain_triple_tables_are_refused_above_the_cap():
+    # sizes 2 and 3 form no chain, so these pairs enumerate M x M tables
+    s, t = PartialTranspose(2049, 2), PartialTranspose(1366, 3)
+    assert pm.digit_levels((s, t)) is None
+    with pytest.raises(ResourceLimitError):
+        pm.count_image_triples(s, t, "share_middle")
+    with pytest.raises(ResourceLimitError):
+        pm.count_projection_agreement(s, t, "second", "first", "share_middle")
+    with pytest.raises(ResourceLimitError):
+        pm.count_joint(s, t)
 
 
 def test_projection_counts():
