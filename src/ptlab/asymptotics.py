@@ -25,9 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import partitions as pts
+from .errors import ResourceLimitError
 from .perms import PartialTranspose, Side, count_agreements
 
 INF = math.inf
+
+#: highest order of ``limit_moments_gamma``: order 16 takes about 2 s on a
+#: 2-core VM (Python 3.11), and each further order doubles the time
+MAX_LIMIT_ORDER = 16
 
 #: a declared limit is a positive integer or math.inf
 Limit = int | float
@@ -77,9 +82,18 @@ def limit_cumulant_gamma(m: int, b, d, c: Fraction) -> Fraction:
 
 
 def limit_moments_gamma(max_order: int, b, d, c: Fraction) -> list[Fraction]:
-    """Limit moments m_1 .. m_max_order via the noncrossing cumulant sum."""
+    """Limit moments m_1 .. m_max_order via the first-block cumulant recursion.
+
+    Orders above ``MAX_LIMIT_ORDER`` are refused: moment n sums 2^(n-1)
+    terms, so the orders up to n cost 2^n - 1 terms in all.
+    """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
+    if max_order > MAX_LIMIT_ORDER:
+        cost = 2**max_order - 1
+        raise ResourceLimitError(
+            f"limit order {max_order} exceeds the cap {MAX_LIMIT_ORDER}: the moments "
+            f"up to it sum 2^{max_order} - 1 = {cost} cumulant products", cost)
 
     def kappa(word: tuple) -> Fraction:
         return limit_cumulant_gamma(len(word), b, d, c)

@@ -11,9 +11,10 @@ and ``inf``; the last two are resolved against the grid's M, which must be
 pinned by at least one fully concrete family.
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
-3 enumeration budget refusal (the message carries the computed cost; words
-whose block sizes form a divisor chain take the digit path, which builds no
-grid and is never refused).
+3 resource refusal: an enumeration over the budget, a table over the table
+cap or a ``limit`` order over its cap (the message carries the computed
+cost; a word of ``I``, ``T``, ``G`` and ``LG`` enumerates only its mixed
+digit levels, and a divisor-chain word builds no grid and is never refused).
 ``sweep`` runs its points in order and writes a row for every point; a point
 that fails gets an ``error`` cell, and the exit code is then 3 if some point
 was refused for its budget and 2 otherwise.
@@ -84,6 +85,10 @@ def parse_perm_literal(text: str, M: int) -> pm.EntryPermutation:
             rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
         if len(rows) != M * M:
             raise ValueError(f"P-file holds {len(rows)} rows, expected M^2 = {M * M}")
+        for row in rows:
+            if len(row) != 4 or not all(1 <= x <= M for x in row):
+                raise ValueError(f"P-file row {' '.join(map(str, row))!r} is not four "
+                                 f"indices in [1, {M}]")
         return pm.TablePermutation.from_mapping(M, {(i, j): (u, v) for i, j, u, v in rows})
     raise ValueError(f"unrecognized permutation literal {text!r}")
 

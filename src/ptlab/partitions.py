@@ -376,12 +376,34 @@ def moments_to_free_cumulants(moment: Callable[[tuple], Fraction], word: tuple) 
 
 
 def free_cumulants_to_moments(cumulant: Callable[[tuple], Fraction], word: tuple) -> Fraction:
-    """Mixed moment of ``word`` from a free-cumulant functional (NC sum)."""
-    word = tuple(word)
-    total = Fraction(0)
-    for gamma in enumerate_nc(len(word)):
-        prod = Fraction(1)
-        for b in gamma.blocks:
-            prod *= cumulant(_subword(word, b))
-        total += prod
-    return total
+    """Mixed moment of ``word`` from a free-cumulant functional.
+
+    The first-block recursion: m(w) sums, over the blocks V holding the
+    first position, kappa(w[V]) times the moments of the gaps V leaves, which
+    are intervals.  Moments and cumulants are memoized by subword, so a word
+    of length n costs 2^(n-1) terms per distinct subword (n subwords for a
+    univariate word) instead of Catalan(n) partitions.
+    """
+    kappa: dict[tuple, Fraction] = {}
+    memo: dict[tuple, Fraction] = {(): Fraction(1)}
+
+    def moment(w: tuple) -> Fraction:
+        if w in memo:
+            return memo[w]
+        n = len(w)
+        total = Fraction(0)
+        for size in range(n):
+            for rest in itertools.combinations(range(1, n), size):
+                block = (0,) + rest
+                sub = tuple(w[t] for t in block)
+                if sub not in kappa:
+                    kappa[sub] = cumulant(sub)
+                prod = kappa[sub]
+                for a, b in zip(block, rest + (n,)):
+                    if b > a + 1:
+                        prod *= moment(w[a + 1:b])
+                total += prod
+        memo[w] = total
+        return total
+
+    return moment(tuple(word))

@@ -16,20 +16,27 @@ with the counting statistics used by the freeness criteria:
 * ``count_projection_agreement``    -- triple counts comparing one coordinate of
   the two images over a shared index pattern
 
-``digit_levels`` splits a word of ``I``, ``T`` and partial transposes whose
-block sizes form a divisor chain into mixed-radix digit levels on which every
-letter keeps or swaps its two arguments; ``count_on_digit_levels`` counts
-there, without tables, for every statistic above and the Wick oracle's
-i-count.  Other pairs compare image tables (c) or match the rows of two value
-tables (triples), at every M up to the table cap.
+``digit_levels`` splits a word of ``I``, ``T`` and partial transposes into
+mixed-radix digit levels.  On a keep/swap level every letter keeps or swaps
+its two arguments' digits; on a mixed level, whose radix is the lcm over
+the gcd of the block sizes inside it, the letters act as partial transposes
+of that radix.  ``count_on_digit_levels`` is the one counter: it
+multiplies the keep/swap levels' union-find counts by each mixed level's
+count, for every statistic above and for the Wick oracle's i-count.  A mixed
+level enumerates its radix^variables grid (the i-count), or compares the
+image tables (c) or matches the rows of the value tables (triples) of its
+reduced pair, up to the table cap.  A word with a letter of another kind is
+one mixed level of radix M holding its original letters; divisor-chain
+words have no mixed level.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -90,7 +97,7 @@ def index_decompose(i: int, d: int) -> tuple[int, int]:
 def _check_grid_side(M: int, max_side: int) -> None:
     if M > max_side:
         raise ResourceLimitError(
-            f"M = {M} exceeds the table cap {max_side} (override via max_side)",
+            f"a {M} x {M} table exceeds the table cap {max_side} (override via max_side)",
             cost=M * M,
         )
 
@@ -431,36 +438,81 @@ def gather_indices(perm: EntryPermutation) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# digit levels of divisor-chain words
+# digit levels
 # ---------------------------------------------------------------------------
 
-def digit_levels(perms) -> list[tuple[int, int, tuple[bool, ...]]] | None:
-    """Digit levels on which every letter of a word keeps or swaps its arguments.
+#: flattened chunk size for vectorized index grids
+_CHUNK = 1 << 21
 
-    The sizes 1 = c_0 < c_1 < ... < c_K = M are the sorted set of 1, M and the
-    block size d of every partial transpose.  When each c_k divides c_{k+1},
-    a 0-based index x has the digits (x // c_k) % (c_{k+1} / c_k), and each
-    letter maps the digits of its arguments (x, y) at level k to the digits
-    of its image: (x_k, y_k) if it keeps there, (y_k, x_k) if it swaps.
-    ``I`` keeps at every level and ``T`` swaps at every level; ``G(b, d)``
-    swaps below d and keeps above it, ``LG(b, d)`` keeps below d and swaps
-    above it.
 
-    Returns one (base c_k, radix c_{k+1} / c_k, swaps) per level, with
-    swaps[t] True iff letter t swaps there, or None when the sizes are not a
-    divisor chain or a letter is of another kind.
+class MixedLevel(NamedTuple):
+    """A digit level on which the word acts as its reduced ``letters``,
+    entry permutations of [radix]^2.
+
+    The digit of a 0-based index x here is (x // base) % radix.
     """
-    sizes = {1, perms[0].M}
+
+    base: int
+    radix: int
+    letters: tuple
+
+
+def _level_cuts(sizes: set[int]) -> list[int]:
+    """The level boundaries of a word with these sizes (1 and M among them).
+
+    A divisor of M that divides or is divisible by every size splits the
+    sizes into those that divide it, which are the smallest ones, and those
+    it divides.  So each split of the sorted sizes whose first part's lcm
+    divides the second part's gcd gives two boundaries, that lcm and that
+    gcd; any other such divisor lies between them, where no size is, and
+    would only split a keep/swap level.
+    """
+    ordered = sorted(sizes)
+    if all(hi % lo == 0 for lo, hi in zip(ordered, ordered[1:])):
+        return ordered  # a divisor chain: every size is a boundary
+    cuts = set()
+    for j in range(1, len(ordered)):
+        lo, hi = math.lcm(*ordered[:j]), math.gcd(*ordered[j:])
+        if hi % lo == 0:
+            cuts |= {lo, hi}
+    return sorted(cuts)
+
+
+def digit_levels(perms) -> list:
+    """Mixed-radix digit levels of a word, each handled on its own.
+
+    The level boundaries 1 = c_0 < c_1 < ... < c_K = M are divisors of M
+    that divide or are divisible by every size in {1, M, the block size d of
+    every partial transpose} (``_level_cuts``); each c_k divides c_{k+1}.
+    A 0-based index x has the digit (x // c_k) % (c_{k+1} / c_k) at level
+    k, and each letter maps the level-k digits of its arguments to the
+    level-k digits of its image, so a count is the product of the levels'
+    counts.
+
+    A level with no size strictly inside it is a keep/swap level, returned as
+    (base c_k, radix c_{k+1} / c_k, swaps) with swaps[t] True iff letter t
+    swaps its two digits there: ``I`` keeps at every level and ``T`` swaps;
+    ``G(b, d)`` swaps below d and keeps above it, ``LG(b, d)`` keeps below d
+    and swaps above it.  A level (lo, hi) with sizes inside it is a
+    :class:`MixedLevel` of radix hi / lo: a letter with lo < d < hi acts on
+    its digits as ``G(hi / d, d / lo)`` (or ``LG``), every other letter as
+    ``I`` or ``T``.  Divisor-chain words have keep/swap levels only.  A word
+    with a letter of another kind is one mixed level of radix M holding the
+    original letters.
+    """
+    M = perms[0].M
+    sizes = {1, M}
     for p in perms:
         if isinstance(p, PartialTranspose):
             sizes.add(p.d)
         elif not isinstance(p, (Identity, Transpose)):
-            return None
-    chain = sorted(sizes)
-    if any(hi % lo for lo, hi in zip(chain, chain[1:])):
-        return None
+            return [MixedLevel(1, M, tuple(perms))]
+    cuts = _level_cuts(sizes)
+    inner = sizes.difference(cuts)
     levels = []
-    for lo, hi in zip(chain, chain[1:]):
+    for lo, hi in zip(cuts, cuts[1:]):
+        # whether each letter swaps its arguments' digits here, were no
+        # size inside the level
         swaps = []
         for p in perms:
             if isinstance(p, PartialTranspose):
@@ -468,8 +520,25 @@ def digit_levels(perms) -> list[tuple[int, int, tuple[bool, ...]]] | None:
                 swaps.append(below if p.side is Side.RIGHT else not below)
             else:
                 swaps.append(isinstance(p, Transpose))
-        levels.append((lo, hi // lo, tuple(swaps)))
+        if inner and any(lo < s < hi for s in inner):
+            levels.append(MixedLevel(lo, hi // lo, tuple(
+                _reduced(p, lo, hi, swap) for p, swap in zip(perms, swaps))))
+        else:
+            levels.append((lo, hi // lo, tuple(swaps)))
     return levels
+
+
+def _reduced(p: EntryPermutation, lo: int, hi: int, swaps: bool) -> EntryPermutation:
+    """The action of a letter on its digits at the mixed level (lo, hi): a
+    partial transpose of side hi / lo if its size lies inside, else I or T as
+    ``swaps`` says; the letter itself when the level is the whole index, so
+    that its cached image tables serve."""
+    radix = hi // lo
+    if radix == p.M:
+        return p
+    if isinstance(p, PartialTranspose) and lo < p.d < hi:
+        return PartialTranspose(hi // p.d, p.d // lo, p.side)
+    return Transpose(radix) if swaps else Identity(radix)
 
 
 def _n_vars(arg_spec) -> int:
@@ -477,20 +546,93 @@ def _n_vars(arg_spec) -> int:
                    default=-1)
 
 
-def count_on_digit_levels(levels, arg_spec, equalities) -> int:
+def _iter_var_grid(n_vars: int, M: int, chunk: int = _CHUNK):
+    """Yield 1-based value arrays (one per variable) covering [M]^n_vars."""
+    if n_vars == 0:
+        yield []
+        return
+    inner = n_vars
+    while inner > 1 and M**inner > chunk:
+        inner -= 1
+    outer = n_vars - inner
+    inner_grid = np.indices((M,) * inner).reshape(inner, -1) + 1
+    for outer_vals in itertools.product(range(1, M + 1), repeat=outer):
+        cols = [np.int64(v) for v in outer_vals]
+        cols += [inner_grid[k] for k in range(inner)]
+        yield cols
+
+
+def _constrained_chunks(perms, M: int, arg_spec, equalities, chunk: int = _CHUNK):
+    """Yield (cols, mask) per chunk of the grid [M]^variables.
+
+    ``cols`` holds the variable values (pinned scalars or arrays, see
+    ``_iter_var_grid``) and ``mask`` marks the grid points meeting every
+    image equality (see ``count_on_digit_levels`` for ``arg_spec`` and
+    ``equalities``).  With no variables (all arguments pinned) the mask is a
+    scalar.
+    """
+    for cols in _iter_var_grid(_n_vars(arg_spec), M, chunk):
+        def resolve(spec):
+            kind, v = spec
+            return np.asarray(cols[v] if kind == "var" else np.int64(v))
+
+        images = [p.eval_arrays(resolve(a), resolve(b)) for p, (a, b) in zip(perms, arg_spec)]
+        mask = None
+        for (t, x), (s, y) in equalities:
+            cond = images[t][x] == images[s][y]
+            mask = cond if mask is None else (mask & cond)
+        yield cols, mask
+
+
+def _count_by_enumeration(perms, M: int, arg_spec, equalities) -> int:
+    """Assignments of the variables, over [M], meeting every image equality,
+    by enumerating the grid chunk by chunk."""
+    return sum(int(np.count_nonzero(mask))
+               for _, mask in _constrained_chunks(perms, M, arg_spec, equalities))
+
+
+def _check_budget(levels, n_vars: int, budget: int) -> None:
+    """Refuse a count whose mixed levels' grids multiply past ``budget``."""
+    radices = [level.radix for level in levels if isinstance(level, MixedLevel)]
+    cost = math.prod(r**n_vars for r in radices)
+    if cost > budget:
+        terms = " * ".join(f"{r}^{n_vars}" for r in radices)
+        raise ResourceLimitError(
+            f"enumeration cost {terms} = {cost} exceeds budget {budget}", cost)
+
+
+def count_on_digit_levels(levels, arg_spec, equalities,
+                          count_mixed=_count_by_enumeration, budget=None) -> int:
     """Assignments of the variables, over [M], meeting every image equality.
 
     ``arg_spec`` gives each letter's two arguments, ("var", k) or ("const",
     v); ``equalities`` pairs ((letter, coord), (letter, coord)) of image
-    coordinates (0 or 1) that must agree.  At each of the letters' ``levels``
-    an image coordinate takes one argument's digit, so an equality joins two
-    nodes (variables or constant digits).  An orbit with two different
-    constant digits admits nothing; otherwise the level contributes
-    radix^(orbits of variables with no constant).
+    coordinates (0 or 1) that must agree.  The count is the product of the
+    counts of the letters' ``levels`` (``digit_levels``).  At a keep/swap
+    level an image coordinate takes one argument's digit, so an equality
+    joins two nodes (variables or constant digits); an orbit with two
+    different constant digits admits nothing, otherwise the level
+    contributes radix^(orbits of variables with no constant).  A mixed level
+    contributes ``count_mixed(letters, radix, arg_spec, equalities)`` with
+    each constant replaced by its 1-based digit there; by default its grid
+    radix^variables is enumerated.  ``budget`` caps the product of the mixed
+    levels' grids, radix^variables each.
     """
     n_vars = _n_vars(arg_spec)
     count = 1
-    for base, radix, swaps in levels:
+    for level in levels:
+        if isinstance(level, MixedLevel):
+            if budget is not None:  # once, at the first mixed level
+                _check_budget(levels, n_vars, budget)
+                budget = None
+            base, radix, letters = level
+            digits = [tuple(a if a[0] == "var" else ("const", (a[1] - 1) // base % radix + 1)
+                            for a in args) for args in arg_spec]
+            count *= count_mixed(letters, radix, digits, equalities)
+            if not count:
+                return 0
+            continue
+        base, radix, swaps = level
         const_nodes: dict[int, int] = {}
 
         def node(spec):
@@ -533,26 +675,26 @@ def _encode(R: np.ndarray, C: np.ndarray, M: int) -> np.ndarray:
     return (R - 1) * M + (C - 1)
 
 
-def _chain_pair_statistic(levels, args, left_proj, right_proj) -> int:
-    """A statistic of a divisor-chain pair whose letters take the variables
-    ``args``: one equality per compared pair of image coordinates."""
+def _pair_statistic(sigma, tau, args, left_proj, right_proj, count_tables) -> int:
+    """A statistic of a pair whose letters take the variables ``args``: one
+    equality per compared pair of image coordinates, counted on the pair's
+    digit levels.  A mixed level applies ``count_tables`` to its two letters."""
+    _check_same_M(sigma, tau)
     arg_spec = [(("var", a), ("var", b)) for a, b in args]
     equalities = [((0, x), (1, y))
                   for x, y in zip(_PROJECTIONS[left_proj], _PROJECTIONS[right_proj])]
-    return count_on_digit_levels(levels, arg_spec, equalities)
+    return count_on_digit_levels(digit_levels((sigma, tau)), arg_spec, equalities,
+                                 lambda letters, *_: count_tables(*letters))
 
 
 def count_agreements(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     """The statistic c: number of (i, j) in [M]^2 with sigma(i,j) = tau(i,j).
 
-    Divisor-chain pairs are counted on their digit levels; other pairs
-    compare the image tables.
+    Counted on the pair's digit levels; a mixed level compares the image
+    tables of its reduced pair.
     """
-    _check_same_M(sigma, tau)
-    levels = digit_levels((sigma, tau))
-    if levels is None:
-        return _count_agreements_table(sigma, tau)
-    return _chain_pair_statistic(levels, ((0, 1), (0, 1)), "both", "both")
+    return _pair_statistic(sigma, tau, ((0, 1), (0, 1)), "both", "both",
+                           _count_agreements_table)
 
 
 def _count_agreements_table(sigma: EntryPermutation, tau: EntryPermutation) -> int:
@@ -574,25 +716,25 @@ def count_fixed_points(perm: EntryPermutation) -> int:
 def count_joint(sigma: EntryPermutation, tau: EntryPermutation) -> int:
     """The statistic j: number of (i, j, l) in [M]^3 with sigma(i,j) = tau(i,l).
 
-    The ``share_first`` image-triple count: divisor-chain pairs are counted
-    on their digit levels (j = c there), other pairs match the encoded
-    images row by row, the rows keyed by the shared first argument.
+    The ``share_first`` image-triple count: on the pair's digit levels j = c
+    at every keep/swap level; a mixed level matches the encoded images of
+    its reduced pair row by row, the rows keyed by the shared first argument.
     """
     return _count_triples(sigma, tau, "share_first", "both", "both")
 
 
 def _count_triples(sigma, tau, pattern, left_proj, right_proj) -> int:
-    """Triples of the pattern on which the projected images of sigma and tau agree."""
-    _check_same_M(sigma, tau)
+    """Triples of the pattern on which the projected images of sigma and tau
+    agree, counted on the pair's digit levels; a mixed level matches the
+    rows of its reduced pair's value tables."""
     if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
     if left_proj not in _PROJECTIONS or right_proj not in _PROJECTIONS:
         raise ValueError(f"unknown projection {left_proj!r}/{right_proj!r}")
-    levels = digit_levels((sigma, tau))
-    if levels is None:
-        return _count_matched_rows(
-            *_triple_value_tables(sigma, tau, pattern, left_proj, right_proj))
-    return _chain_pair_statistic(levels, _PATTERNS[pattern], left_proj, right_proj)
+    return _pair_statistic(
+        sigma, tau, _PATTERNS[pattern], left_proj, right_proj,
+        lambda s, t: _count_matched_rows(
+            *_triple_value_tables(s, t, pattern, left_proj, right_proj)))
 
 
 def _triple_value_tables(sigma, tau, pattern, left_proj, right_proj):

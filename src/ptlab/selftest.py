@@ -63,8 +63,8 @@ def criterion_1() -> CriterionResult:
                         continue
                     lcm = pm.gamma_lcm_data(p.d, q.d)
                     c = pm.count_agreements(p, q)
-                    # chain pairs count c and j on their digit levels: hold j
-                    # to the matched-rows enumeration of its tables as well
+                    # c and j are counted on the pair's digit levels: hold j
+                    # to the matched-rows enumeration of its full tables as well
                     j = pm.count_joint(p, q)
                     rows = pm._count_matched_rows(
                         *pm._triple_value_tables(p, q, "share_first", "both", "both"))
@@ -136,17 +136,22 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """The three count_admissible methods agree on the exhaustive grid.
 
-    "auto" takes the digit path on divisor-chain words; the M = 6 alphabet
-    mixes d = 2 with d = 3, so its mixed words take the enumeration.
+    "auto" counts on the word's digit levels.  The M = 6 alphabet mixes
+    d = 2 with d = 3, so its mixed words have one mixed level of radix
+    6 = M; the M = 12 alphabet's mixed words have a mixed level of radix 6
+    below a keep/swap level of radix 2.
     """
 
     def body():
         checked = 0
-        for M in (2, 4, 6):
-            alphabet = [pm.Identity(M), pm.Transpose(M),
-                        PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2)]
-            for P in (2, 5, 6):
-                shape = MatrixShape(M, P)
+        grids = [([pm.Identity(M), pm.Transpose(M),
+                   PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2)], (2, 5, 6))
+                 for M in (2, 4, 6)]
+        grids.append(([PartialTranspose(6, 2), PartialTranspose(4, 3),
+                       PartialTranspose(6, 2, Side.LEFT), pm.Transpose(12)], (2,)))
+        for alphabet, Ps in grids:
+            for P in Ps:
+                shape = MatrixShape(alphabet[0].M, P)
                 for m in (1, 2, 3):
                     pairings = pts.enumerate_bipartite_pairings(m)
                     for word_perms in itertools.product(alphabet, repeat=m):
@@ -157,7 +162,7 @@ def criterion_4() -> CriterionResult:
                             naive = wk.count_admissible(pairing, word, method="naive")
                             assert auto == fast == naive, \
                                 f"auto {auto}, fast {fast}, naive {naive} " \
-                                f"at {(M, P, word_perms, pairing)}"
+                                f"at {(shape, word_perms, pairing)}"
                             checked += 1
         return f"{checked} (word, pairing) cells, exact equality"
 

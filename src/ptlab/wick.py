@@ -18,26 +18,26 @@ the unique reading under which E tr W = P/M; every identity below asserts
 rational equality, no tolerances.
 
 The j-coordinates always contribute P^(number of j-orbits).  The i-count
-has one counter with two paths:
+is ``perms.count_on_digit_levels`` on the word's digit levels
+(``perms.digit_levels``), the counter the permutation statistics share: each
+l-equality splits into one equality per mixed-radix digit level.  A
+keep/swap level contributes radix^(free digit orbits); a mixed level
+enumerates its radix^m grid, chunk by chunk, on the letters reduced to that
+radix.  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
+(L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
+it, whatever M is; divisor-chain words have no mixed level and build no
+grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
+is one mixed level of radix M.  The enumeration budget applies to the
+product of the mixed levels' grids.
 
-* the digit path, for words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)``
-  whose block sizes, with 1 and M, form a divisor chain
-  (``perms.digit_levels``).  Each l-equality splits into one equality per
-  mixed-radix digit level, so the count is the product over levels of
-  radix^(free digit orbits) (``perms.count_on_digit_levels``, the counter
-  the permutation statistics share); its cost does not grow with M;
-* the enumeration of the i-grid chunk by chunk, for every other word.  Only
-  this path builds a grid, so only it is held to the enumeration budget.
-
-``count_admissible`` has three methods: "auto" (the digit path when the
-word is a divisor chain, else the enumeration), "fast" (always the
-enumeration; the reference the digit path is checked against) and "naive"
-(the full (i, j) grid, testing the Wick weight directly).
+``count_admissible`` has three methods: "auto" (the digit levels), "fast"
+(the full i-grid as one mixed level of radix M; the reference the levels
+are checked against) and "naive" (the full (i, j) grid, testing the Wick
+weight directly).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -49,10 +49,11 @@ from .partitions import Pairing, enumerate_bipartite_pairings
 from .perms import (
     EntryPermutation,
     MatrixShape,
+    MixedLevel,
     PartialTranspose,
     ResourceLimitError,
     Side,
-    _n_vars,
+    _constrained_chunks,
     count_on_digit_levels,
     digit_levels,
 )
@@ -61,8 +62,6 @@ from .perms import (
 DEFAULT_BUDGET = 2**32
 #: default cap on word length (pairing count grows like m!)
 MAX_WORD_LEN = 6
-#: flattened chunk size for vectorized index grids
-_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -177,62 +176,20 @@ def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
     return True
 
 
-def _iter_var_grid(n_vars: int, M: int, chunk: int = _CHUNK):
-    """Yield 1-based value arrays (one per variable) covering [M]^n_vars."""
-    if n_vars == 0:
-        yield []
-        return
-    inner = n_vars
-    while inner > 1 and M**inner > chunk:
-        inner -= 1
-    outer = n_vars - inner
-    inner_grid = np.indices((M,) * inner).reshape(inner, -1) + 1
-    for outer_vals in itertools.product(range(1, M + 1), repeat=outer):
-        cols = [np.int64(v) for v in outer_vals]
-        cols += [inner_grid[k] for k in range(inner)]
-        yield cols
-
-
-def _constrained_chunks(perms, M: int, pairs, arg_spec, chunk: int = _CHUNK):
-    """Yield (cols, mask) per chunk of the i-variable grid.
-
-    ``cols`` holds the variable values (pinned scalars or arrays, see
-    ``_iter_var_grid``) and ``mask`` marks the grid points satisfying every
-    l-equality.  ``arg_spec`` lists, per factor, its two arguments as
-    ("var", idx) or ("const", value); variable indices are 0-based and
-    contiguous.  With no variables (all arguments pinned) the mask is a
-    scalar.
-    """
-    for cols in _iter_var_grid(_n_vars(arg_spec), M, chunk):
-        def resolve(spec):
-            kind, v = spec
-            return np.asarray(cols[v] if kind == "var" else np.int64(v))
-
-        ls, lms = [], []
-        for p, (a, b) in zip(perms, arg_spec):
-            lk, lmk = p.eval_arrays(resolve(a), resolve(b))
-            ls.append(lk)
-            lms.append(lmk)
-        mask = None
-        for t, s in pairs:
-            cond = ls[t - 1] == lms[s - 1]
-            mask = cond if mask is None else (mask & cond)
-        yield cols, mask
-
-
-def _count_constrained_i(perms, M: int, pairs, arg_spec, levels=None) -> int:
+def _count_constrained_i(perms, M: int, pairs, arg_spec, levels=None,
+                         budget: int | None = None) -> int:
     """Number of assignments of the i-variables satisfying all l-equalities.
 
-    With the word's digit ``levels`` (``perms.digit_levels``) each
-    l_t = l_-s is the equality of image coordinate 0 of letter t and
-    coordinate 1 of letter s, counted by ``perms.count_on_digit_levels``.
-    Without levels the i-grid is enumerated.
+    Each l_t = l_-s is the equality of image coordinate 0 of letter t and
+    coordinate 1 of letter s, counted by ``perms.count_on_digit_levels`` on
+    the word's digit ``levels``; without levels, on one mixed level of radix
+    M (the whole i-grid).  ``budget`` caps the grid points the mixed levels
+    enumerate.
     """
     if levels is None:
-        return sum(int(np.count_nonzero(mask))
-                   for _, mask in _constrained_chunks(perms, M, pairs, arg_spec))
+        levels = [MixedLevel(1, M, tuple(perms))]
     return count_on_digit_levels(levels, arg_spec,
-                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs])
+                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs], budget=budget)
 
 
 def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
@@ -244,12 +201,12 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
                      budget: int | None = DEFAULT_BUDGET) -> int:
     """#A(pi, sigmas): admissible index tuples of the word under the pairing.
 
-    Methods: "auto" counts the i-tuples on the digit path when the word's
-    block sizes form a divisor chain and enumerates the i-grid otherwise;
-    "fast" always enumerates the i-grid; both multiply by P^(number of
-    j-orbits).  "naive" enumerates the full (i, j) grid and tests the Wick
-    weight directly.  ``budget`` caps the grid of the enumerating paths; the
-    digit path builds no grid and is never refused.
+    Methods: "auto" counts the i-tuples on the word's digit levels; "fast"
+    enumerates the whole i-grid; both multiply by P^(number of j-orbits).
+    "naive" enumerates the full (i, j) grid and tests the Wick weight
+    directly.  ``budget`` caps the grid points enumerated: the product of
+    radix^m over the mixed levels for "auto" (1, and never refused, for a
+    divisor-chain word), M^m for "fast" and (M P)^m for "naive".
     """
     m = word.m
     if pairing.m != m:
@@ -267,11 +224,7 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     if method not in ("auto", "fast"):
         raise ValueError(f"unknown method {method!r}")
     levels = word.digit_levels if method == "auto" else None
-    cost = M**m
-    if levels is None and budget is not None and cost > budget:
-        raise ResourceLimitError(
-            f"fast enumeration cost M^m = {cost} exceeds budget {budget}", cost)
-    n_i = _count_constrained_i(word.perms, M, pairs, _cyclic_arg_spec(m), levels)
+    n_i = _count_constrained_i(word.perms, M, pairs, _cyclic_arg_spec(m), levels, budget)
     return P ** _j_orbit_count(pairing) * n_i
 
 
@@ -348,8 +301,8 @@ def _valid_i_tuples(word: WickWord, pairing: Pairing,
         raise ResourceLimitError(f"i-grid cost M^m = {cost} exceeds budget {budget}", cost)
     rows = []
     count = 0
-    for cols, mask in _constrained_chunks(word.perms, M, _factor_pairs(pairing),
-                                          _cyclic_arg_spec(m)):
+    equalities = [((t - 1, 0), (s - 1, 1)) for t, s in _factor_pairs(pairing)]
+    for cols, mask in _constrained_chunks(word.perms, M, _cyclic_arg_spec(m), equalities):
         # pinned scalars broadcast against the chunk instead of being copied
         mask, *cols = np.broadcast_arrays(mask, *cols)
         sel = np.stack([c[mask] for c in cols], axis=1)
@@ -444,16 +397,12 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     M, P = word1.shape.M, word1.shape.P
     perms = word1.perms + word2.perms
     levels = digit_levels(perms)
-    cost = M**K
-    if levels is None and budget is not None and cost > budget:
-        raise ResourceLimitError(f"grid cost M^(m+r) = {cost} exceeds budget {budget}", cost)
-
     arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
     total = 0
     for pi in enumerate_bipartite_pairings(K):
         if connected_only and not _is_connected(pi, m):
             continue
-        n_i = _count_constrained_i(perms, M, _factor_pairs(pi), arg_spec, levels)
+        n_i = _count_constrained_i(perms, M, _factor_pairs(pi), arg_spec, levels, budget)
         total += P ** _j_orbit_count(pi) * n_i
     return Fraction(total, M**K)
 
@@ -477,7 +426,7 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None) 
 
     For a constant word (Gamma(b, d), ..., Gamma(b, d)) and pairing nu_1 or
     nu_2 this evaluates  sum over u in J(m) of v(pi, sigmas, (a, u, b)),
-    counting the interior i-tuples on the digit path (a constant word is a
+    counting the interior i-tuples on the digit levels (a constant word is a
     divisor chain, so no grid is built and no budget applies; the endpoints
     pin digits); the j-count is P^(number of j-orbits).  The i_1 = a and
     i_{m+1} = b endpoints replace the cyclic identification.

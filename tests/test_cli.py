@@ -52,6 +52,17 @@ def test_parse_perm_literals(tmp_path):
         cli.parse_perm_literal(f"P({pfile})", 3)
 
 
+@pytest.mark.parametrize("row", ["4 3 3 3", "0 3 3 3"])
+def test_p_file_index_outside_range_exits_2(tmp_path, capsys, row):
+    # an index above M once raised IndexError; an index of 0 wrapped to M
+    pfile = tmp_path / "table.txt"
+    lines = [f"{i} {j} {j} {i}" for i in range(1, 4) for j in range(1, 4)]
+    pfile.write_text("\n".join(lines[:-1] + [row]) + "\n")
+    code, _, err = run(capsys, "count", "--M", "3", "--a", f"P({pfile})", "--b", "I")
+    assert code == 2
+    assert f"P-file row '{row}' is not four indices in [1, 3]" in err
+
+
 def test_parse_word():
     perms = cli.parse_word("G(2,4),G(4,2),I", 8)
     assert len(perms) == 3
@@ -144,9 +155,9 @@ def test_single_sample_output_is_valid_json(capsys):
         assert isinstance(payload["mean"], float)
 
 
-#: block sizes 2 and 3 form no divisor chain, so this covariance enumerates
-#: the 240^6 grid and is refused for its budget
-NON_CHAIN_COVARIANCE = ["covariance", "--M", "240", "--word1", "G(120,2),G(80,3),I",
+#: block sizes 15 and 16 have lcm / gcd = 240 = M, so this covariance
+#: enumerates the 240^6 grid of its one mixed level and is refused for its budget
+NON_CHAIN_COVARIANCE = ["covariance", "--M", "240", "--word1", "G(16,15),G(15,16),I",
                         "--word2", "I,I,I"]
 
 
@@ -157,6 +168,20 @@ def test_exit_codes(capsys):
     code = cli.main(["covariance", "--M", "256", "--word1", "I,I,I", "--word2", "I,I,I"])
     assert code == 0
     capsys.readouterr()
+
+
+def test_non_chain_jobs_above_the_table_cap(capsys):
+    # sizes 2 and 3 have one mixed level of radix 6: the covariance
+    # enumerates 6^4 points, not 6144^4, and count compares 6 x 6 tables
+    word = "G(3072,2),G(2048,3)"
+    code, out, _ = run(capsys, "covariance", "--M", "6144", "--word1", word, "--word2", word)
+    assert code == 0 and json.loads(out)["exact"] == "462422021/56623104"
+    code, out, _ = run(capsys, "count", "--M", "6144", "--a", "G(3072,2)", "--b", "G(2048,3)",
+                       "--all")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["c"] == payload["j"] == 1024**2 * 10
+
 
 
 def test_budget_message_includes_cost(capsys):
@@ -278,8 +303,8 @@ def test_sweep_keeps_rows_of_finished_points(tmp_path, capsys):
     assert [bool(r["error"]) for r in rows] == [False, True, False]
     assert rows[0]["exact"] == rows[2]["exact"] != "" and rows[1]["M"] == "5"
     # a budget refusal exits 3, again after writing every row
-    config = {"command": "covariance", "word1": "G(M/2,2),G(M/3,3),I", "word2": "I,I",
-              "grid": [{"M": 6}, {"M": 240}]}
+    config = {"command": "covariance", "word1": "G(M/15,15),G(M/16,16),I", "word2": "I,I",
+              "grid": [{"M": 6, "word1": "G(M/2,2),G(M/3,3),I"}, {"M": 240}]}
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 3
     rows = list(csv.DictReader(out.open()))

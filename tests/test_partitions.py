@@ -1,9 +1,14 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ptlab import asymptotics as ay
 from ptlab import partitions as pts
 from ptlab.errors import ResourceLimitError
 from ptlab.partitions import Pairing, Partition
@@ -173,3 +178,58 @@ def test_moment_cumulant_round_trip_random():
             back = pts.free_cumulants_to_moments(
                 lambda sub: pts.moments_to_free_cumulants(moment, sub), word)
             assert back == moment(word)
+
+
+def nc_sum(cumulant, word):
+    """free_cumulants_to_moments as the sum over NC(n) it was before the
+    first-block recursion, kept as the reference."""
+    word = tuple(word)
+    total = Fraction(0)
+    for gamma in pts.enumerate_nc(len(word)):
+        prod = Fraction(1)
+        for b in gamma.blocks:
+            prod *= cumulant(tuple(word[t - 1] for t in b))
+        total += prod
+    return total
+
+
+def test_first_block_recursion_matches_nc_sum_on_limit_cumulants():
+    # every order <= 10 of every (b, d, c) on the grid.  The limit cumulant
+    # depends on the block length only, so the NC sum's partitions are
+    # grouped by their block lengths: each group's product is computed once
+    # (the NC sum of the whole grid term by term takes about 30 s on a 2-core VM)
+    groups = {n: Counter(tuple(len(b) for b in gamma.blocks) for gamma in pts.enumerate_nc(n))
+              for n in range(1, 11)}
+    for b, d in itertools.product((2, 3, 4, 5, ay.INF), repeat=2):
+        for c in (Fraction(1), Fraction(2, 3), Fraction(5, 2)):
+            kappa = [None] + [ay.limit_cumulant_gamma(k, b, d, c) for k in range(1, 11)]
+            expected = [sum((count * math.prod((kappa[k] for k in lengths), start=Fraction(1))
+                             for lengths, count in groups[n].items()), Fraction(0))
+                        for n in range(1, 11)]
+            assert ay.limit_moments_gamma(10, b, d, c) == expected, (b, d, c)
+    # the grouping itself against the NC sum term by term, at one grid point
+    kappa = lambda w: ay.limit_cumulant_gamma(len(w), 2, ay.INF, Fraction(2, 3))  # noqa: E731
+    assert [nc_sum(kappa, ("w",) * n) for n in range(1, 11)] == \
+        ay.limit_moments_gamma(10, 2, ay.INF, Fraction(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="abc", min_size=1, max_size=7), st.integers(0, 2**32 - 1))
+def test_first_block_recursion_matches_nc_sum_on_mixed_words(word, seed):
+    # an arbitrary cumulant per subword: the recursion must read each block
+    # as the subword it selects, in order
+    rng = random.Random(seed)
+    cache = {}
+
+    def cumulant(w):
+        if w not in cache:
+            cache[w] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return cache[w]
+
+    assert pts.free_cumulants_to_moments(cumulant, tuple(word)) == nc_sum(cumulant, word)
+
+
+def test_limit_order_cap_states_its_cost():
+    assert len(ay.limit_moments_gamma(ay.MAX_LIMIT_ORDER - 4, 2, 3, Fraction(1))) == 12
+    with pytest.raises(ResourceLimitError, match=r"2\^17 - 1 = 131071"):
+        ay.limit_moments_gamma(ay.MAX_LIMIT_ORDER + 1, 2, 3, Fraction(1))

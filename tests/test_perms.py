@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -161,9 +162,23 @@ def test_digit_levels():
         (4, 2, (False, True, True, False)),
     ]
     assert pm.digit_levels((Identity(1),)) == []
-    # 2 and 3 are incomparable; other kinds of letter have no digit action
-    assert pm.digit_levels((PartialTranspose(6, 2), PartialTranspose(4, 3))) is None
-    assert pm.digit_levels((Identity(3), pm.InducedDiagonal([2, 3, 1]))) is None
+    # 2 and 3 are incomparable: one mixed level of radix lcm / gcd = 6 holds
+    # the letters reduced to [6], and the level above it keeps
+    assert pm.digit_levels((PartialTranspose(6, 2), PartialTranspose(4, 3))) == [
+        pm.MixedLevel(1, 6, (PartialTranspose(3, 2), PartialTranspose(2, 3))),
+        (6, 2, (False, False)),
+    ]
+    # sizes 4 and 6 with gcd 2: a keep/swap level below the mixed level; a
+    # letter whose size bounds the mixed level acts there as I or T
+    assert pm.digit_levels((PartialTranspose(3, 4), PartialTranspose(2, 6, Side.LEFT),
+                            PartialTranspose(6, 2), PartialTranspose(6, 2, Side.LEFT))) == [
+        (1, 2, (True, False, True, False)),
+        pm.MixedLevel(2, 6, (PartialTranspose(3, 2), PartialTranspose(2, 3, Side.LEFT),
+                             Identity(6), Transpose(6))),
+    ]
+    # other kinds of letter: one mixed level of radix M with the letters as given
+    diag = pm.InducedDiagonal([2, 3, 1])
+    assert pm.digit_levels((Identity(3), diag)) == [pm.MixedLevel(1, 3, (Identity(3), diag))]
 
 
 def chain_alphabet(M):
@@ -182,7 +197,7 @@ def test_chain_pair_closed_forms_match_enumeration():
     checked = 0
     for M in (8, 12, 16, 24, 80):
         for s, t in itertools.product(chain_alphabet(M), repeat=2):
-            if pm.digit_levels((s, t)) is None:
+            if any(isinstance(level, pm.MixedLevel) for level in pm.digit_levels((s, t))):
                 continue
             c = pm.count_agreements(s, t)
             assert c == pm.count_joint(s, t) == pm._count_agreements_table(s, t)
@@ -254,15 +269,60 @@ def test_chain_statistics_build_no_table():
 
 
 def test_non_chain_triple_tables_are_refused_above_the_cap():
-    # sizes 2 and 3 form no chain, so these pairs enumerate M x M tables
-    s, t = PartialTranspose(2049, 2), PartialTranspose(1366, 3)
-    assert pm.digit_levels((s, t)) is None
+    # lcm(2, 2049) / gcd(2, 2049) = M, so the pair's one mixed level
+    # compares M x M tables
+    s, t = PartialTranspose(2049, 2), PartialTranspose(2, 2049)
+    assert pm.digit_levels((s, t)) == [pm.MixedLevel(1, 4098, (s, t))]
     with pytest.raises(ResourceLimitError):
         pm.count_image_triples(s, t, "share_middle")
     with pytest.raises(ResourceLimitError):
         pm.count_projection_agreement(s, t, "second", "first", "share_middle")
     with pytest.raises(ResourceLimitError):
         pm.count_joint(s, t)
+
+
+#: incomparable block sizes: every pair of their partial transposes has a mixed level
+INCOMPARABLE_SIZES = ((2, 3), (3, 4), (4, 6))
+
+
+def test_non_chain_statistics_match_tables():
+    # each statistic of a pair with a mixed level against the tables of the
+    # full pair, at M = L..4L (L = lcm of the two sizes)
+    checked = 0
+    for d1, d2 in INCOMPARABLE_SIZES:
+        L = math.lcm(d1, d2)
+        for M in (L, 2 * L, 3 * L, 4 * L):
+            letters = [PartialTranspose(M // d, d, side) for d in (d1, d2) for side in Side]
+            for s, t in itertools.product(letters, repeat=2):
+                if s.d == t.d:
+                    continue
+                assert any(isinstance(level, pm.MixedLevel) for level in pm.digit_levels((s, t)))
+                assert pm.count_agreements(s, t) == pm._count_agreements_table(s, t)
+                for pattern in ("share_first", "share_middle", "share_second_slot"):
+                    assert pm.count_image_triples(s, t, pattern) == pm._count_matched_rows(
+                        *pm._triple_value_tables(s, t, pattern, "both", "both")), \
+                        (s, t, pattern)
+                for pattern, lp, rp in PROJECTION_VARIANTS:
+                    assert pm.count_projection_agreement(s, t, lp, rp, pattern) == \
+                        pm._count_matched_rows(*pm._triple_value_tables(s, t, pattern, lp, rp)), \
+                        (s, t, pattern, lp, rp)
+                checked += 1
+    assert checked == 3 * 4 * 8
+
+
+def test_non_chain_statistics_build_no_full_table():
+    # sizes 2 and 3 at M = 6144: the mixed level has radix 6, so the
+    # statistics compare 6 x 6 tables, far below the table cap.  On the top
+    # level, of radix k, G keeps and LG swaps: c gains one free orbit, i = j,
+    # and the share_middle (first, second) count two, i = l and j
+    s, t = PartialTranspose(3072, 2), PartialTranspose(2048, 3, Side.LEFT)
+    k = 6144 // 6
+    small_s, small_t = PartialTranspose(3, 2), PartialTranspose(2, 3, Side.LEFT)
+    assert pm.count_agreements(s, t) == k * pm.count_agreements(small_s, small_t)
+    assert pm.count_projection_agreement(s, t, "first", "second", "share_middle") == \
+        k**2 * pm.count_projection_agreement(small_s, small_t, "first", "second",
+                                             "share_middle")
+    assert not hasattr(s, "_image_cache") and not hasattr(t, "_image_cache")
 
 
 def test_projection_counts():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -103,7 +104,8 @@ def test_method_agreement_and_budget():
         wk.count_admissible(pts.delta(5), big, method="fast")
     # the budget caps enumeration grids: the digit path builds none
     assert wk.count_admissible(pts.delta(5), big) == 256**6
-    non_chain = word(240, 240, PartialTranspose(120, 2), PartialTranspose(80, 3),
+    # lcm(15, 16) / gcd(15, 16) = 240: the one mixed level has radix M
+    non_chain = word(240, 240, PartialTranspose(16, 15), PartialTranspose(15, 16),
                      *(Identity(240),) * 3)
     with pytest.raises(ResourceLimitError):
         wk.count_admissible(pts.delta(5), non_chain)
@@ -167,8 +169,9 @@ def test_constraint_loop_consumers_agree(case):
 # ---------------------------------------------------------------------------
 
 def enumerated_i_count(perms, M, pairs, arg_spec):
+    equalities = [((t - 1, 0), (s - 1, 1)) for t, s in pairs]
     return sum(int(np.count_nonzero(mask))
-               for _, mask in wk._constrained_chunks(perms, M, pairs, arg_spec))
+               for _, mask in pm._constrained_chunks(perms, M, arg_spec, equalities))
 
 
 def assert_digit_path_exact(perms, M, pairs, arg_spec):
@@ -262,6 +265,64 @@ def test_digit_path_constant_clash_gives_zero():
     levels = pm.digit_levels(perms)
     assert wk._count_constrained_i(perms, 4, [(1, 2), (2, 1)], spec, levels) == 0
     assert enumerated_i_count(perms, 4, [(1, 2), (2, 1)], spec) == 0
+
+
+#: block-size sets that form no divisor chain
+NON_CHAIN_SIZES = ((2, 3), (2, 3, 6), (2, 4, 6), (3, 4), (3, 4, 6))
+
+
+def has_mixed_level(perms):
+    return any(isinstance(level, pm.MixedLevel) for level in pm.digit_levels(perms))
+
+
+def test_mixed_levels_match_enumeration_exhaustive():
+    # words with a mixed level against the full i-grid, at M = L..4L (L the
+    # lcm of the sizes): every word of two letters, every word of three at
+    # M = L, and a seeded sample of the others; four letters only at M = L,
+    # as Var(Tr) of two-letter words
+    rng = np.random.default_rng(6)
+    cells = 0
+    for ds in NON_CHAIN_SIZES:
+        L = math.lcm(*ds)
+        for M in (L, 2 * L, 3 * L, 4 * L):
+            for K, sample in ((2, None), (3, None if M == L else 2), (4, 6 if M == L else 0)):
+                words = [w for w in itertools.product(chain_letters(M, ds), repeat=K)
+                         if has_mixed_level(w)]
+                if sample is not None:
+                    words = [words[k] for k in rng.choice(len(words), sample, replace=False)]
+                pairings = [wk._factor_pairs(pi) for pi in pts.enumerate_bipartite_pairings(K)]
+                specs = digit_test_arg_specs(K, M)
+                for perms in words:
+                    for spec in specs:
+                        for pairs in pairings:
+                            assert_digit_path_exact(perms, M, pairs, spec)
+                            cells += 1
+    assert cells > 20000
+
+
+@st.composite
+def non_chain_word_and_spec(draw):
+    ds = draw(st.sampled_from(NON_CHAIN_SIZES))
+    M = math.lcm(*ds) * draw(st.integers(1, 3))
+    m = draw(st.integers(2, 3))
+    letters = chain_letters(M, ds)
+    perms = tuple(draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m)
+                       .filter(has_mixed_level)))
+    # up to three shared variables or constants from a short list, so that
+    # constants often meet in one orbit of a keep/swap or a mixed level
+    consts = draw(st.lists(st.integers(1, M), min_size=1, max_size=3))
+    arg = st.one_of(st.tuples(st.just("var"), st.integers(0, 2)),
+                    st.tuples(st.just("const"), st.sampled_from(consts)))
+    spec = [(draw(arg), draw(arg)) for _ in range(m)]
+    pairings = pts.enumerate_bipartite_pairings(m)
+    pairs = wk._factor_pairs(pairings[draw(st.integers(0, len(pairings) - 1))])
+    return perms, M, pairs, spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(non_chain_word_and_spec())
+def test_mixed_levels_on_random_words_with_constants(case):
+    assert_digit_path_exact(*case)
 
 
 def test_chain_variance_closed_form_at_large_M():
