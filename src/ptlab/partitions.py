@@ -376,13 +376,18 @@ def moments_to_free_cumulants(moment: Callable[[tuple], Fraction], word: tuple) 
 
 
 def free_cumulants_to_moments(cumulant: Callable[[tuple], Fraction], word: tuple) -> Fraction:
-    """Mixed moment of ``word`` from a free-cumulant functional.
+    """Mixed moment of ``word`` from a free-cumulant functional."""
+    return free_moments(cumulant)(tuple(word))
+
+
+def free_moments(cumulant: Callable[[tuple], Fraction]) -> Callable[[tuple], Fraction]:
+    """The mixed-moment functional of a free-cumulant functional.
 
     The first-block recursion: m(w) sums, over the blocks V holding the
     first position, kappa(w[V]) times the moments of the gaps V leaves, which
-    are intervals.  Moments and cumulants are memoized by subword, so a word
-    of length n costs 2^(n-1) terms per distinct subword (n subwords for a
-    univariate word) instead of Catalan(n) partitions.
+    are intervals.  Moments and cumulants are memoized by subword across
+    calls, so a word of length n costs 2^(n-1) terms per distinct subword
+    (n subwords for a univariate word) instead of Catalan(n) partitions.
     """
     kappa: dict[tuple, Fraction] = {}
     memo: dict[tuple, Fraction] = {(): Fraction(1)}
@@ -406,4 +411,4 @@ def free_cumulants_to_moments(cumulant: Callable[[tuple], Fraction], word: tuple
         memo[w] = total
         return total
 
-    return moment(tuple(word))
+    return moment

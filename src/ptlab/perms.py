@@ -468,8 +468,6 @@ def _level_cuts(sizes: set[int]) -> list[int]:
     would only split a keep/swap level.
     """
     ordered = sorted(sizes)
-    if all(hi % lo == 0 for lo, hi in zip(ordered, ordered[1:])):
-        return ordered  # a divisor chain: every size is a boundary
     cuts = set()
     for j in range(1, len(ordered)):
         lo, hi = math.lcm(*ordered[:j]), math.gcd(*ordered[j:])
@@ -591,18 +589,20 @@ def _count_by_enumeration(perms, M: int, arg_spec, equalities) -> int:
                for _, mask in _constrained_chunks(perms, M, arg_spec, equalities))
 
 
-def _check_budget(levels, n_vars: int, budget: int) -> None:
-    """Refuse a count whose mixed levels' grids multiply past ``budget``."""
-    radices = [level.radix for level in levels if isinstance(level, MixedLevel)]
-    cost = math.prod(r**n_vars for r in radices)
-    if cost > budget:
-        terms = " * ".join(f"{r}^{n_vars}" for r in radices)
-        raise ResourceLimitError(
-            f"enumeration cost {terms} = {cost} exceeds budget {budget}", cost)
+def check_budget(levels, n_vars: int, budget: int | None) -> None:
+    """Refuse a count whose mixed levels' grids, radix^n_vars each and
+    enumerated one level at a time, sum past ``budget`` (None: no cap)."""
+    radices = [level.radix for level in levels if type(level) is MixedLevel]
+    if radices and budget is not None:  # chains: nothing to check
+        cost = sum(r**n_vars for r in radices)
+        if cost > budget:
+            terms = " + ".join(f"{r}^{n_vars}" for r in radices)
+            raise ResourceLimitError(
+                f"enumeration cost {terms} = {cost} exceeds budget {budget}", cost)
 
 
 def count_on_digit_levels(levels, arg_spec, equalities,
-                          count_mixed=_count_by_enumeration, budget=None) -> int:
+                          count_mixed=_count_by_enumeration) -> int:
     """Assignments of the variables, over [M], meeting every image equality.
 
     ``arg_spec`` gives each letter's two arguments, ("var", k) or ("const",
@@ -615,16 +615,12 @@ def count_on_digit_levels(levels, arg_spec, equalities,
     contributes radix^(orbits of variables with no constant).  A mixed level
     contributes ``count_mixed(letters, radix, arg_spec, equalities)`` with
     each constant replaced by its 1-based digit there; by default its grid
-    radix^variables is enumerated.  ``budget`` caps the product of the mixed
-    levels' grids, radix^variables each.
+    radix^variables is enumerated (``check_budget`` bounds that work).
     """
     n_vars = _n_vars(arg_spec)
     count = 1
     for level in levels:
         if isinstance(level, MixedLevel):
-            if budget is not None:  # once, at the first mixed level
-                _check_budget(levels, n_vars, budget)
-                budget = None
             base, radix, letters = level
             digits = [tuple(a if a[0] == "var" else ("const", (a[1] - 1) // base % radix + 1)
                             for a in args) for args in arg_spec]

@@ -28,7 +28,7 @@ radix.  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
 it, whatever M is; divisor-chain words have no mixed level and build no
 grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
 is one mixed level of radix M.  The enumeration budget applies to the
-product of the mixed levels' grids.
+sum of the mixed levels' grids, the points enumerated.
 
 ``count_admissible`` has three methods: "auto" (the digit levels), "fast"
 (the full i-grid as one mixed level of radix M; the reference the levels
@@ -54,6 +54,7 @@ from .perms import (
     ResourceLimitError,
     Side,
     _constrained_chunks,
+    check_budget,
     count_on_digit_levels,
     digit_levels,
 )
@@ -176,20 +177,16 @@ def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
     return True
 
 
-def _count_constrained_i(perms, M: int, pairs, arg_spec, levels=None,
-                         budget: int | None = None) -> int:
+def _count_constrained_i(levels, pairs, arg_spec) -> int:
     """Number of assignments of the i-variables satisfying all l-equalities.
 
     Each l_t = l_-s is the equality of image coordinate 0 of letter t and
     coordinate 1 of letter s, counted by ``perms.count_on_digit_levels`` on
-    the word's digit ``levels``; without levels, on one mixed level of radix
-    M (the whole i-grid).  ``budget`` caps the grid points the mixed levels
-    enumerate.
+    the word's digit ``levels`` (one mixed level of radix M for the whole
+    i-grid).
     """
-    if levels is None:
-        levels = [MixedLevel(1, M, tuple(perms))]
     return count_on_digit_levels(levels, arg_spec,
-                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs], budget=budget)
+                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs])
 
 
 def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
@@ -204,8 +201,8 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     Methods: "auto" counts the i-tuples on the word's digit levels; "fast"
     enumerates the whole i-grid; both multiply by P^(number of j-orbits).
     "naive" enumerates the full (i, j) grid and tests the Wick weight
-    directly.  ``budget`` caps the grid points enumerated: the product of
-    radix^m over the mixed levels for "auto" (1, and never refused, for a
+    directly.  ``budget`` caps the grid points enumerated: the sum of
+    radix^m over the mixed levels for "auto" (0, and never refused, for a
     divisor-chain word), M^m for "fast" and (M P)^m for "naive".
     """
     m = word.m
@@ -223,8 +220,9 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
 
     if method not in ("auto", "fast"):
         raise ValueError(f"unknown method {method!r}")
-    levels = word.digit_levels if method == "auto" else None
-    n_i = _count_constrained_i(word.perms, M, pairs, _cyclic_arg_spec(m), levels, budget)
+    levels = word.digit_levels if method == "auto" else [MixedLevel(1, M, word.perms)]
+    check_budget(levels, m, budget)
+    n_i = _count_constrained_i(levels, pairs, _cyclic_arg_spec(m))
     return P ** _j_orbit_count(pairing) * n_i
 
 
@@ -397,12 +395,13 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     M, P = word1.shape.M, word1.shape.P
     perms = word1.perms + word2.perms
     levels = digit_levels(perms)
+    check_budget(levels, K, budget)
     arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
     total = 0
     for pi in enumerate_bipartite_pairings(K):
         if connected_only and not _is_connected(pi, m):
             continue
-        n_i = _count_constrained_i(perms, M, _factor_pairs(pi), arg_spec, levels, budget)
+        n_i = _count_constrained_i(levels, _factor_pairs(pi), arg_spec)
         total += P ** _j_orbit_count(pi) * n_i
     return Fraction(total, M**K)
 
@@ -456,5 +455,5 @@ def segment_sum(pairing: Pairing, word: WickWord, a: int, b: int | None = None) 
         left = ("const", a) if k == 1 else ("var", k - 2)
         right = ("const", b) if k == m else ("var", k - 1)
         arg_spec.append((left, right))
-    n_i = _count_constrained_i(perms, M, pairs, arg_spec, word.digit_levels)
+    n_i = _count_constrained_i(word.digit_levels, pairs, arg_spec)
     return Fraction(n_i * P ** _j_orbit_count(pairing), M**m)

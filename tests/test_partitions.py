@@ -230,6 +230,20 @@ def test_first_block_recursion_matches_nc_sum_on_mixed_words(word, seed):
 
 
 def test_limit_order_cap_states_its_cost():
-    assert len(ay.limit_moments_gamma(ay.MAX_LIMIT_ORDER - 4, 2, 3, Fraction(1))) == 12
-    with pytest.raises(ResourceLimitError, match=r"2\^17 - 1 = 131071"):
-        ay.limit_moments_gamma(ay.MAX_LIMIT_ORDER + 1, 2, 3, Fraction(1))
+    assert len(ay.limit_moments_gamma(12, 2, 3, Fraction(1))) == 12
+    n = ay.MAX_LIMIT_ORDER + 1
+    with pytest.raises(ResourceLimitError, match=rf"2\^{n} - 1 = {2**n - 1}"):
+        ay.limit_moments_gamma(n, 2, 3, Fraction(1))
+
+
+def test_limit_moments_share_one_memo(monkeypatch):
+    # each order reuses the lower orders' moments and cumulants: order n
+    # asks for one new cumulant, so orders 1..8 ask for 8 in all
+    calls = []
+    cumulant = ay.limit_cumulant_gamma
+    monkeypatch.setattr(ay, "limit_cumulant_gamma",
+                        lambda m, *rest: calls.append(m) or cumulant(m, *rest))
+    assert ay.limit_moments_gamma(8, 2, 3, Fraction(1)) == \
+        [pts.free_cumulants_to_moments(lambda w: cumulant(len(w), 2, 3, Fraction(1)), ("w",) * n)
+         for n in range(1, 9)]
+    assert sorted(calls) == list(range(1, 9))

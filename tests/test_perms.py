@@ -176,6 +176,16 @@ def test_digit_levels():
         pm.MixedLevel(2, 6, (PartialTranspose(3, 2), PartialTranspose(2, 3, Side.LEFT),
                              Identity(6), Transpose(6))),
     ]
+    # sizes {2, 3} and {12, 18} at M = 72: boundaries 1, 6, 36 and 72, two
+    # mixed levels of radix 6 and a keep/swap level above them
+    assert pm.digit_levels((PartialTranspose(36, 2), PartialTranspose(24, 3, Side.LEFT),
+                            PartialTranspose(6, 12), PartialTranspose(4, 18))) == [
+        pm.MixedLevel(1, 6, (PartialTranspose(3, 2), PartialTranspose(2, 3, Side.LEFT),
+                             Transpose(6), Transpose(6))),
+        pm.MixedLevel(6, 6, (Identity(6), Transpose(6), PartialTranspose(3, 2),
+                             PartialTranspose(2, 3))),
+        (36, 2, (False, True, False, False)),
+    ]
     # other kinds of letter: one mixed level of radix M with the letters as given
     diag = pm.InducedDiagonal([2, 3, 1])
     assert pm.digit_levels((Identity(3), diag)) == [pm.MixedLevel(1, 3, (Identity(3), diag))]
@@ -244,7 +254,7 @@ def test_matched_rows_equals_triple_loop(tables):
 
 def test_statistics_validate_on_chain_pairs():
     s, t = PartialTranspose(2, 2), PartialTranspose(2, 2, Side.LEFT)
-    assert pm.digit_levels((s, t)) is not None
+    assert not any(isinstance(level, pm.MixedLevel) for level in pm.digit_levels((s, t)))
     for fn in (pm.count_agreements, pm.count_joint,
                lambda a, b: pm.count_image_triples(a, b, "share_first"),
                lambda a, b: pm.count_projection_agreement(a, b, "first", "first",

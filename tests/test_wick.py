@@ -175,9 +175,7 @@ def enumerated_i_count(perms, M, pairs, arg_spec):
 
 
 def assert_digit_path_exact(perms, M, pairs, arg_spec):
-    levels = pm.digit_levels(perms)
-    assert levels is not None
-    digit = wk._count_constrained_i(perms, M, pairs, arg_spec, levels)
+    digit = wk._count_constrained_i(pm.digit_levels(perms), pairs, arg_spec)
     assert digit == enumerated_i_count(perms, M, pairs, arg_spec), (perms, pairs, arg_spec)
 
 
@@ -263,7 +261,7 @@ def test_digit_path_constant_clash_gives_zero():
     perms = (PartialTranspose(2, 2), PartialTranspose(2, 2))
     spec = [(("const", 1), ("var", 0)), (("var", 0), ("const", 3))]
     levels = pm.digit_levels(perms)
-    assert wk._count_constrained_i(perms, 4, [(1, 2), (2, 1)], spec, levels) == 0
+    assert wk._count_constrained_i(levels, [(1, 2), (2, 1)], spec) == 0
     assert enumerated_i_count(perms, 4, [(1, 2), (2, 1)], spec) == 0
 
 
@@ -323,6 +321,52 @@ def non_chain_word_and_spec(draw):
 @given(non_chain_word_and_spec())
 def test_mixed_levels_on_random_words_with_constants(case):
     assert_digit_path_exact(*case)
+
+
+#: sizes {2, 3} and {12, 18} at M = 72: two mixed levels of radix 6, at
+#: bases 1 and 6, below a keep/swap level of radix 2
+TWO_MIXED_SIZES = (2, 3, 12, 18)
+
+
+def test_two_mixed_levels_match_enumeration():
+    # a word with two mixed levels needs four letters, one per size; pinned
+    # constants keep the reference grid at 72^3 points or fewer
+    M = 72
+    rng = np.random.default_rng(72)
+    words = [tuple(PartialTranspose(M // d, d, side) for d, side in zip(ds, sides))
+             for ds in itertools.permutations(TWO_MIXED_SIZES)
+             for sides in itertools.product((Side.RIGHT, Side.LEFT), repeat=4)]
+    levels = pm.digit_levels(words[0])
+    assert [(lv.base, lv.radix) for lv in levels if isinstance(lv, pm.MixedLevel)] == \
+        [(1, 6), (6, 6)]
+    pairings = [wk._factor_pairs(pi) for pi in pts.enumerate_bipartite_pairings(4)]
+    # constants that agree, or differ at the lower mixed level, the upper one
+    # or the keep/swap level
+    consts = [1, 2, 7, 37, 72]
+    for k in rng.choice(len(words), 10, replace=False):
+        # the endpoints differ at every level: three variables, six pairings
+        for t in rng.choice(len(pairings), 6, replace=False):
+            assert_digit_path_exact(words[k], M, pairings[t], pinned_arg_spec(4, 2, 44))
+        # two shared variables and constants: every pairing
+        for _ in range(3):
+            spec = [tuple(("var", int(rng.integers(2))) if rng.random() < 0.6
+                          else ("const", int(rng.choice(consts))) for _ in range(2))
+                    for _ in range(4)]
+            for pairs in pairings:
+                assert_digit_path_exact(words[k], M, pairs, spec)
+
+
+def test_budget_counts_the_points_enumerated():
+    # two mixed levels of radix 6 enumerate 6^7 points each for a 4 + 3
+    # covariance: 2 * 6^7, not their product 36^7
+    M = 72
+    w1 = word(M, M, *(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES))
+    w2 = word(M, M, *(Identity(M),) * 3)
+    levels = pm.digit_levels(w1.perms + w2.perms)
+    pm.check_budget(levels, 7, 2 * 6**7)
+    with pytest.raises(ResourceLimitError, match=r"6\^7 \+ 6\^7 = 559872") as info:
+        wk.exact_trace_covariance(w1, w2, budget=2 * 6**7 - 1)
+    assert info.value.cost == 2 * 6**7
 
 
 def test_chain_variance_closed_form_at_large_M():
