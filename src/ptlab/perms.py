@@ -560,6 +560,15 @@ def _iter_var_grid(n_vars: int, M: int, chunk: int = _CHUNK):
         yield cols
 
 
+def _grid_images(perms, cols, arg_spec) -> list:
+    """Each letter's pair of image arrays at the grid points ``cols``."""
+    def resolve(spec):
+        kind, v = spec
+        return np.asarray(cols[v] if kind == "var" else np.int64(v))
+
+    return [p.eval_arrays(resolve(a), resolve(b)) for p, (a, b) in zip(perms, arg_spec)]
+
+
 def _constrained_chunks(perms, M: int, arg_spec, equalities, chunk: int = _CHUNK):
     """Yield (cols, mask) per chunk of the grid [M]^variables.
 
@@ -570,11 +579,7 @@ def _constrained_chunks(perms, M: int, arg_spec, equalities, chunk: int = _CHUNK
     scalar.
     """
     for cols in _iter_var_grid(_n_vars(arg_spec), M, chunk):
-        def resolve(spec):
-            kind, v = spec
-            return np.asarray(cols[v] if kind == "var" else np.int64(v))
-
-        images = [p.eval_arrays(resolve(a), resolve(b)) for p, (a, b) in zip(perms, arg_spec)]
+        images = _grid_images(perms, cols, arg_spec)
         mask = None
         for (t, x), (s, y) in equalities:
             cond = images[t][x] == images[s][y]
@@ -587,6 +592,44 @@ def _count_by_enumeration(perms, M: int, arg_spec, equalities) -> int:
     by enumerating the grid chunk by chunk."""
     return sum(int(np.count_nonzero(mask))
                for _, mask in _constrained_chunks(perms, M, arg_spec, equalities))
+
+
+#: largest grid (points) whose equality masks a ``SharedGridCounter`` keeps
+MAX_SHARED_GRID = 1 << 18
+
+
+class SharedGridCounter:
+    """A ``count_mixed`` for the many counts of one word, one per pairing.
+
+    The counts of a Wick moment or covariance share their letters, levels
+    and arguments and differ only in their image equalities.  For each mixed
+    level this evaluates the letters once on its radix^variables grid and
+    keeps the mask of each image equality the first time a count needs it;
+    a count then ANDs the masks of its equalities.  The result equals
+    ``_count_by_enumeration``.  A grid above ``MAX_SHARED_GRID`` points (up
+    to (2 * letters)^2 masks of one byte per point) is enumerated per count.
+    """
+
+    def __init__(self):
+        self._grids: dict[tuple, tuple[list, dict]] = {}
+
+    def __call__(self, letters, radix: int, arg_spec, equalities) -> int:
+        n_vars = _n_vars(arg_spec)
+        points = radix**n_vars
+        if points > MAX_SHARED_GRID:
+            return _count_by_enumeration(letters, radix, arg_spec, equalities)
+        key = (tuple(letters), radix, tuple(arg_spec))
+        if key not in self._grids:
+            cols = next(_iter_var_grid(n_vars, radix))  # one chunk: points <= _CHUNK
+            self._grids[key] = (_grid_images(letters, cols, arg_spec), {})
+        images, masks = self._grids[key]
+        mask = np.ones(points, dtype=bool)
+        for eq in equalities:
+            if eq not in masks:
+                (t, x), (s, y) = eq
+                masks[eq] = np.broadcast_to(images[t][x] == images[s][y], (points,))
+            mask &= masks[eq]
+        return int(np.count_nonzero(mask))
 
 
 def check_budget(levels, n_vars: int, budget: int | None) -> None:

@@ -52,8 +52,10 @@ from .perms import (
     MixedLevel,
     PartialTranspose,
     ResourceLimitError,
+    SharedGridCounter,
     Side,
     _constrained_chunks,
+    _count_by_enumeration,
     check_budget,
     count_on_digit_levels,
     digit_levels,
@@ -93,6 +95,12 @@ class WickWord:
     def digit_levels(self):
         """``perms.digit_levels`` of the letters, worked out once per word."""
         return digit_levels(self.perms)
+
+    @cached_property
+    def grid_counter(self) -> SharedGridCounter:
+        """The mixed levels' grids and equality masks, shared by the counts
+        of every pairing of this word."""
+        return SharedGridCounter()
 
 
 @dataclass(frozen=True)
@@ -177,16 +185,16 @@ def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
     return True
 
 
-def _count_constrained_i(levels, pairs, arg_spec) -> int:
+def _count_constrained_i(levels, pairs, arg_spec, count_mixed=_count_by_enumeration) -> int:
     """Number of assignments of the i-variables satisfying all l-equalities.
 
     Each l_t = l_-s is the equality of image coordinate 0 of letter t and
     coordinate 1 of letter s, counted by ``perms.count_on_digit_levels`` on
     the word's digit ``levels`` (one mixed level of radix M for the whole
-    i-grid).
+    i-grid), each mixed level by ``count_mixed``.
     """
     return count_on_digit_levels(levels, arg_spec,
-                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs])
+                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs], count_mixed)
 
 
 def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
@@ -220,9 +228,12 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
 
     if method not in ("auto", "fast"):
         raise ValueError(f"unknown method {method!r}")
-    levels = word.digit_levels if method == "auto" else [MixedLevel(1, M, word.perms)]
+    if method == "auto":
+        levels, count_mixed = word.digit_levels, word.grid_counter
+    else:
+        levels, count_mixed = [MixedLevel(1, M, word.perms)], _count_by_enumeration
     check_budget(levels, m, budget)
-    n_i = _count_constrained_i(levels, pairs, _cyclic_arg_spec(m))
+    n_i = _count_constrained_i(levels, pairs, _cyclic_arg_spec(m), count_mixed)
     return P ** _j_orbit_count(pairing) * n_i
 
 
@@ -397,11 +408,12 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     levels = digit_levels(perms)
     check_budget(levels, K, budget)
     arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
+    counter = SharedGridCounter()
     total = 0
     for pi in enumerate_bipartite_pairings(K):
         if connected_only and not _is_connected(pi, m):
             continue
-        n_i = _count_constrained_i(levels, _factor_pairs(pi), arg_spec)
+        n_i = _count_constrained_i(levels, _factor_pairs(pi), arg_spec, counter)
         total += P ** _j_orbit_count(pi) * n_i
     return Fraction(total, M**K)
 

@@ -356,6 +356,52 @@ def test_two_mixed_levels_match_enumeration():
                 assert_digit_path_exact(words[k], M, pairs, spec)
 
 
+@pytest.mark.parametrize("cap", [pm.MAX_SHARED_GRID, 100])
+def test_shared_grid_counter_matches_enumeration(monkeypatch, cap):
+    # one counter serves every pairing and argument pattern of a word, as in
+    # a moment or a covariance: each count equals its own enumeration, also
+    # where the grid is above the cap and enumerated per count
+    monkeypatch.setattr(pm, "MAX_SHARED_GRID", cap)
+    rng = np.random.default_rng(12)
+    M = 12
+    letters = chain_letters(M, (2, 3, 4, 6))
+    cases = []
+    for K in (2, 3, 3, 4, 4):
+        perms = (Identity(M),) * K
+        while not has_mixed_level(perms):
+            perms = tuple(letters[k] for k in rng.choice(len(letters), K))
+        cases.append((perms, digit_test_arg_specs(K, M) + [pinned_arg_spec(K, 2, 11)]))
+    # two mixed levels of radix 6 at M = 72, three variables each
+    cases.append(((PartialTranspose(36, 2), PartialTranspose(24, 3, Side.LEFT),
+                   PartialTranspose(6, 12), PartialTranspose(4, 18)),
+                  [pinned_arg_spec(4, 2, 44), pinned_arg_spec(4, 7, 7)]))
+    for perms, specs in cases:
+        K, M = len(perms), perms[0].M
+        counter = pm.SharedGridCounter()
+        levels = pm.digit_levels(perms)
+        for spec in specs:
+            for pi in pts.enumerate_bipartite_pairings(K):
+                pairs = wk._factor_pairs(pi)
+                assert wk._count_constrained_i(levels, pairs, spec, counter) == \
+                    enumerated_i_count(perms, M, pairs, spec), (perms, pairs, spec)
+
+
+def test_moment_and_covariance_share_one_grid_per_word():
+    # the auto path evaluates a word's letters once for all its pairings, and
+    # agrees with the full-grid reference
+    M = 12
+    w = word(M, 3, PartialTranspose(4, 3), PartialTranspose(3, 4), PartialTranspose(6, 2))
+    auto, fast = (wk.exact_mixed_moment(w, method=m) for m in ("auto", "fast"))
+    assert auto.tuple_counts == fast.tuple_counts
+    assert len(w.grid_counter._grids) == 1
+    w2 = word(M, 3, PartialTranspose(4, 3, Side.LEFT))
+    perms, spec = w.perms + w2.perms, wk._cyclic_arg_spec(3) + wk._cyclic_arg_spec(1, offset=3)
+    full = sum(3 ** wk._j_orbit_count(pi)
+               * enumerated_i_count(perms, M, wk._factor_pairs(pi), spec)
+               for pi in pts.enumerate_bipartite_pairings(4) if wk._is_connected(pi, 3))
+    assert wk.exact_trace_covariance(w, w2) == Fraction(full, M**4)
+
+
 def test_budget_counts_the_points_enumerated():
     # two mixed levels of radix 6 enumerate 6^7 points each for a 4 + 3
     # covariance: 2 * 6^7, not their product 36^7
