@@ -288,8 +288,22 @@ def enumerate_nc(m: int, max_order: int = MAX_NC_ORDER) -> list[NoncrossingParti
     return [NoncrossingPartition(m, blocks) for blocks in _nc_blocks(m)]
 
 
-@lru_cache(maxsize=None)
+#: the largest order whose noncrossing partitions stay cached: the cumulants
+#: of words up to this length and the gaps of every higher order reuse them;
+#: a higher order (Catalan(9) = 4862 partitions, about 2 MB) is rebuilt per call
+NC_CACHE_ORDER = 6
+
+
 def _nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    return _nc_blocks_cached(m) if m <= NC_CACHE_ORDER else _build_nc_blocks(m)
+
+
+@lru_cache(maxsize=None)
+def _nc_blocks_cached(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    return _build_nc_blocks(m)
+
+
+def _build_nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # recursive: the block of 1 is {1} U S; the gaps between its elements and
     # the tail after its last element are partitioned independently
     if m == 0:

@@ -134,11 +134,15 @@ class EntryPermutation:
             raise ValueError(f"index ({i}, {j}) outside [1, {self.M}]^2")
 
     def image_arrays(self, max_side: int = MAX_TABLE_SIDE) -> tuple[np.ndarray, np.ndarray]:
-        """Full image grids (R, C) with (R[i-1, j-1], C[i-1, j-1]) = sigma(i, j)."""
+        """Full image grids (R, C) with (R[i-1, j-1], C[i-1, j-1]) = sigma(i, j).
+
+        The index grids are int32, half the memory of int64; the structured
+        kinds keep that type, so products of two entries need a wider type.
+        """
         _check_grid_side(self.M, max_side)
         cached = getattr(self, "_image_cache", None)
         if cached is None:
-            idx = np.arange(1, self.M + 1, dtype=np.int64)
+            idx = np.arange(1, self.M + 1, dtype=np.int32)
             X, Y = np.meshgrid(idx, idx, indexing="ij")
             cached = self.eval_arrays(X, Y)
             self._image_cache = cached
@@ -254,12 +258,11 @@ class PartialTranspose(EntryPermutation):
     def eval_arrays(self, X, Y):
         if self.spec.side is Side.LEFT:
             X, Y = Y, X
+        # the images swap the in-block offsets (X - 1) % d and (Y - 1) % d;
+        # one shift array and no block-number arrays keep the temporaries few
         d = self.spec.d
-        A1 = (X - 1) // d
-        B1 = (X - 1) % d
-        A2 = (Y - 1) // d
-        B2 = (Y - 1) % d
-        return A1 * d + B2 + 1, A2 * d + B1 + 1
+        shift = (Y - 1) % d - (X - 1) % d
+        return X + shift, Y - shift
 
     def key(self):
         return ("pt", self.spec.b, self.spec.d, self.spec.side.value)
@@ -434,7 +437,7 @@ def apply(perm: EntryPermutation, A: np.ndarray) -> np.ndarray:
 def gather_indices(perm: EntryPermutation) -> tuple[np.ndarray, np.ndarray]:
     """0-based (row, col) gather arrays such that A[rows, cols] = A^sigma."""
     R, C = perm.image_arrays()
-    return R - 1, C - 1
+    return np.subtract(R, 1, dtype=np.intp), np.subtract(C, 1, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +556,8 @@ def _iter_var_grid(n_vars: int, M: int, chunk: int = _CHUNK):
     while inner > 1 and M**inner > chunk:
         inner -= 1
     outer = n_vars - inner
-    inner_grid = np.indices((M,) * inner).reshape(inner, -1) + 1
+    inner_grid = np.indices((M,) * inner, dtype=np.int32).reshape(inner, -1)
+    inner_grid += 1
     for outer_vals in itertools.product(range(1, M + 1), repeat=outer):
         cols = [np.int64(v) for v in outer_vals]
         cols += [inner_grid[k] for k in range(inner)]

@@ -23,7 +23,10 @@ is ``perms.count_on_digit_levels`` on the word's digit levels
 l-equality splits into one equality per mixed-radix digit level.  A
 keep/swap level contributes radix^(free digit orbits); a mixed level
 enumerates its radix^m grid, chunk by chunk, on the letters reduced to that
-radix.  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
+radix.  The pairings of one word share that grid: ``WickWord.grid_counter``
+(and one ``perms.SharedGridCounter`` per covariance) evaluates the letters
+once and keeps each image equality's mask, up to ``perms.MAX_SHARED_GRID``
+points.  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
 (L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
 it, whatever M is; divisor-chain words have no mixed level and build no
 grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
