@@ -295,12 +295,7 @@ NC_CACHE_ORDER = 6
 
 
 def _nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return _nc_blocks_cached(m) if m <= NC_CACHE_ORDER else _build_nc_blocks(m)
-
-
-@lru_cache(maxsize=None)
-def _nc_blocks_cached(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return _build_nc_blocks(m)
+    return _cached_nc_blocks(m) if m <= NC_CACHE_ORDER else _build_nc_blocks(m)
 
 
 def _build_nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -330,6 +325,9 @@ def _build_nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 blocks = (first_block,) + tuple(blk for part in chosen for blk in part)
                 out.append(_canonical_blocks(blocks))
     return tuple(out)
+
+
+_cached_nc_blocks = lru_cache(maxsize=None)(_build_nc_blocks)
 
 
 def catalan(m: int) -> int:

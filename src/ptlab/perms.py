@@ -23,11 +23,12 @@ the gcd of the block sizes inside it, the letters act as partial transposes
 of that radix.  ``count_on_digit_levels`` is the one counter: it
 multiplies the keep/swap levels' union-find counts by each mixed level's
 count, for every statistic above and for the Wick oracle's i-count.  A mixed
-level enumerates its radix^variables grid (the i-count), or compares the
-image tables (c) or matches the rows of the value tables (triples) of its
-reduced pair, up to the table cap.  A word with a letter of another kind is
-one mixed level of radix M holding its original letters; divisor-chain
-words have no mixed level.
+level enumerates its radix^variables grid (the i-count; a
+``SharedGridCounter`` evaluates it once for all the pairings of a word), or
+compares the image tables (c) or matches the rows of the value tables
+(triples) of its reduced pair, up to the table cap.  A word with a letter
+of another kind is one mixed level of radix M holding its original letters;
+divisor-chain words have no mixed level.
 """
 
 from __future__ import annotations
@@ -136,15 +137,18 @@ class EntryPermutation:
     def image_arrays(self, max_side: int = MAX_TABLE_SIDE) -> tuple[np.ndarray, np.ndarray]:
         """Full image grids (R, C) with (R[i-1, j-1], C[i-1, j-1]) = sigma(i, j).
 
-        The index grids are int32, half the memory of int64; the structured
-        kinds keep that type, so products of two entries need a wider type.
+        The letters are evaluated on a column and a row of int32 indices,
+        and the grids are read-only views broadcast to M x M, so ``I``,
+        ``T`` and ``D`` letters store two index vectors, not two tables.
+        The structured kinds keep int32, so products of two entries need a
+        wider type.
         """
         _check_grid_side(self.M, max_side)
         cached = getattr(self, "_image_cache", None)
         if cached is None:
             idx = np.arange(1, self.M + 1, dtype=np.int32)
-            X, Y = np.meshgrid(idx, idx, indexing="ij")
-            cached = self.eval_arrays(X, Y)
+            cached = tuple(np.broadcast_to(A, (self.M, self.M))
+                           for A in self.eval_arrays(idx[:, None], idx[None, :]))
             self._image_cache = cached
         return cached
 
