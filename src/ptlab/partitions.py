@@ -289,9 +289,9 @@ def enumerate_nc(m: int, max_order: int = MAX_NC_ORDER) -> list[NoncrossingParti
 
 
 #: the largest order whose noncrossing partitions stay cached: the cumulants
-#: of words up to this length and the gaps of every higher order reuse them;
-#: a higher order (Catalan(9) = 4862 partitions, about 2 MB) is rebuilt per call
-NC_CACHE_ORDER = 6
+#: of words up to six letters and the gaps of orders 9 and 10 reuse them; the
+#: order-9 set (Catalan(9) = 4862 partitions, about 1.5 MB) is rebuilt per call
+NC_CACHE_ORDER = 8
 
 
 def _nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
