@@ -288,17 +288,22 @@ def enumerate_nc(m: int, max_order: int = MAX_NC_ORDER) -> list[NoncrossingParti
     return [NoncrossingPartition(m, blocks) for blocks in _nc_blocks(m)]
 
 
-#: the largest order whose noncrossing partitions stay cached: the cumulants
-#: of words up to six letters and the gaps of orders 9 and 10 reuse them; the
-#: order-9 set (Catalan(9) = 4862 partitions, about 1.5 MB) is rebuilt per call
-NC_CACHE_ORDER = 8
+#: the largest order whose noncrossing partitions stay cached, the orders of
+#: the exact cumulants (words of up to six letters); a higher order (Catalan(9)
+#: = 4862 partitions, about 2 MB) is rebuilt per call, its gaps shared in ``memo``
+NC_CACHE_ORDER = 6
 
 
-def _nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return _cached_nc_blocks(m) if m <= NC_CACHE_ORDER else _build_nc_blocks(m)
+def _nc_blocks(m: int, memo: dict | None = None) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    if m <= NC_CACHE_ORDER:
+        return _cached_nc_blocks(m)
+    memo = {} if memo is None else memo
+    if m not in memo:
+        memo[m] = _build_nc_blocks(m, memo)
+    return memo[m]
 
 
-def _build_nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _build_nc_blocks(m: int, memo: dict | None = None) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # recursive: the block of 1 is {1} U S; the gaps between its elements and
     # the tail after its last element are partitioned independently
     if m == 0:
@@ -318,7 +323,7 @@ def _build_nc_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
             for gap in ok_pieces:
                 k = len(gap)
                 relabeled = []
-                for blocks in _nc_blocks(k):
+                for blocks in _nc_blocks(k, memo):
                     relabeled.append(tuple(tuple(gap[x - 1] for x in blk) for blk in blocks))
                 gap_parts.append(relabeled)
             for chosen in itertools.product(*gap_parts):
