@@ -237,26 +237,13 @@ def verdict_family(families: list[ShapeFamily]) -> tuple[dict[tuple[int, int], V
 def empirical_density_probe(f: ShapeFamily, g: ShapeFamily) -> dict:
     """Exact agreement densities c(sigma_N, tau_N)/M_N^2 along the shared grid.
 
-    Corroborates (never overrides) the declared-limit verdict.  The agreement
-    count is also recomputed as the number of fixed points of
-    sigma_N^-1 o tau_N (the two formulations of the criterion coincide); both
-    are reported.
+    Corroborates (never overrides) the declared-limit verdict.
     """
-    from .perms import compose, count_fixed_points, invert
-
     _shared_grid(f, g)
-    densities = []
-    fp_densities = []
-    for k in range(len(f.samples)):
-        M = f.samples[k][2]
-        sigma, tau = f.perm_at(k), g.perm_at(k)
-        c = count_agreements(sigma, tau)
-        fp = count_fixed_points(compose(invert(sigma), tau))
-        densities.append(Fraction(c, M * M))
-        fp_densities.append(Fraction(fp, M * M))
+    densities = [Fraction(count_agreements(f.perm_at(k), g.perm_at(k)), M * M)
+                 for k, M in enumerate(f.grid_M())]
     nonincreasing = all(y <= x for x, y in zip(densities, densities[1:]))
     return {"rule": "C49-density", "densities": densities,
-            "fixed_point_densities": fp_densities,
             "nonincreasing": nonincreasing,
             "first": densities[0], "last": densities[-1]}
 

@@ -11,10 +11,13 @@ and ``inf``; the last two are resolved against the grid's M, which must be
 pinned by at least one fully concrete family.
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
-3 resource refusal: an enumeration over the budget, a table over the table
-cap or a ``limit`` order over its cap (the message carries the computed
-cost; a word of ``I``, ``T``, ``G`` and ``LG`` enumerates only its mixed
-digit levels, and a divisor-chain word builds no grid and is never refused).
+3 resource refusal: a word over its length cap (6 letters for a moment or
+cumulant, 8 in all for a covariance), an enumeration over the budget, a
+table over the table cap or a ``limit`` order over its cap (the message
+carries the computed cost; a word of ``I``, ``T``, ``G`` and ``LG``
+enumerates only its mixed digit levels, and a divisor-chain word builds no
+grid and is never refused for its budget).  ``--force`` lifts the budget
+only.
 ``sweep`` runs its points in order and writes a row for every point; a point
 that fails gets an ``error`` cell, and the exit code is then 3 if some point
 was refused for its budget and 2 otherwise.
@@ -480,6 +483,8 @@ _SWEEP_ID_KEYS = ("M", "P", "word", "word1", "word2", "a", "b", "samples", "seed
 def _cmd_sweep(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("sweep config must be a JSON object")
     cmd = config.get("command")
     grid = config.get("grid")
     if not cmd or not isinstance(grid, list) or not grid:
@@ -487,8 +492,10 @@ def _cmd_sweep(args) -> int:
     rows, code = [], 0
     for point in grid:
         job = {k: v for k, v in config.items() if k != "grid"}
-        job.update(point)
         try:
+            if not isinstance(point, dict):
+                raise ValueError("a grid point must be a JSON object")
+            job.update(point)
             rows.append(_sweep_point(job))
         except (ValueError, ResourceLimitError) as exc:
             refused = isinstance(exc, ResourceLimitError)

@@ -8,6 +8,7 @@ positions with even positions (k + pi(k) is odd); there are m! of them.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -33,12 +34,6 @@ class Partition:
         seen = [x for b in self.blocks for x in b]
         if sorted(seen) != list(range(1, self.n + 1)):
             raise ValueError(f"blocks do not partition [1, {self.n}]: {self.blocks}")
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise ValueError(f"{x} not in ground set")
 
     def __eq__(self, other):
         return isinstance(other, Partition) and (self.n, self.blocks) == (other.n, other.blocks)
@@ -129,12 +124,15 @@ def parse_pairing(text: str) -> Pairing:
     return Pairing.from_pairs(pairs)
 
 
-def enumerate_bipartite_pairings(m: int, max_order: int = MAX_PAIRING_ORDER) -> list[Pairing]:
+def enumerate_bipartite_pairings(m: int) -> list[Pairing]:
     """All m! bipartite pairings of [2m], lexicographic in (pi(1), pi(3), ...)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > max_order:
-        raise ResourceLimitError(f"m = {m} exceeds the pairing enumeration cap {max_order}")
+    if m > MAX_PAIRING_ORDER:
+        cost = math.factorial(m)
+        raise ResourceLimitError(
+            f"{m} letters have {m}! = {cost} pairings, over the pairing enumeration "
+            f"cap of {MAX_PAIRING_ORDER} letters", cost)
     evens = list(range(2, 2 * m + 1, 2))
     out = []
     for images in itertools.permutations(evens):
@@ -256,10 +254,6 @@ def is_crossing(p) -> bool:
     return False
 
 
-def is_noncrossing(p) -> bool:
-    return not is_crossing(p)
-
-
 def segments(p) -> list[tuple[int, ...]]:
     """Blocks whose elements are consecutive integers."""
     return [b for b in _blocks_of(p) if b[-1] - b[0] == len(b) - 1]
@@ -279,12 +273,10 @@ def cyclic_segments(p) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_nc(m: int, max_order: int = MAX_NC_ORDER) -> list[NoncrossingPartition]:
+def enumerate_nc(m: int) -> list[NoncrossingPartition]:
     """All noncrossing partitions of [m]; there are Catalan(m) of them."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m > max_order:
-        raise ResourceLimitError(f"m = {m} exceeds the NC enumeration cap {max_order}")
     return [NoncrossingPartition(m, blocks) for blocks in _nc_blocks(m)]
 
 
@@ -295,8 +287,13 @@ NC_CACHE_ORDER = 6
 
 
 def _nc_blocks(m: int, memo: dict | None = None) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The canonical blocks of each noncrossing partition of [m]; orders
+    above ``MAX_NC_ORDER`` are refused."""
     if m <= NC_CACHE_ORDER:
         return _cached_nc_blocks(m)
+    if m > MAX_NC_ORDER:
+        raise ResourceLimitError(
+            f"m = {m} exceeds the NC enumeration cap {MAX_NC_ORDER}", catalan(m))
     memo = {} if memo is None else memo
     if m not in memo:
         memo[m] = _build_nc_blocks(m, memo)
@@ -379,11 +376,11 @@ def moments_to_free_cumulants(moment: Callable[[tuple], Fraction], word: tuple) 
         n = len(w)
         total = moment(w)
         if n > 1:
-            for gamma in enumerate_nc(n):
-                if len(gamma.blocks) == 1:
+            for blocks in _nc_blocks(n):
+                if len(blocks) == 1:
                     continue
                 prod = 1
-                for b in gamma.blocks:
+                for b in blocks:
                     prod = prod * kappa(_subword(w, b))
                 total = total - prod
         memo[w] = total

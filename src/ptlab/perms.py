@@ -65,23 +65,6 @@ class MatrixShape:
             raise ValueError(f"shape parameters must be >= 1, got {self}")
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    """Block structure (b outer blocks of side d) of a partial transpose."""
-
-    b: int
-    d: int
-    side: Side = Side.RIGHT
-
-    def __post_init__(self):
-        if self.b < 1 or self.d < 1:
-            raise ValueError(f"block parameters must be >= 1, got {self}")
-
-    @property
-    def M(self) -> int:
-        return self.b * self.d
-
-
 def index_decompose(i: int, d: int) -> tuple[int, int]:
     """Split a 1-based index i = (alpha - 1) * d + beta into (alpha, beta).
 
@@ -95,12 +78,10 @@ def index_decompose(i: int, d: int) -> tuple[int, int]:
     return (i - 1) // d + 1, (i - 1) % d + 1
 
 
-def _check_grid_side(M: int, max_side: int) -> None:
-    if M > max_side:
+def _check_grid_side(M: int) -> None:
+    if M > MAX_TABLE_SIDE:
         raise ResourceLimitError(
-            f"a {M} x {M} table exceeds the table cap {max_side} (override via max_side)",
-            cost=M * M,
-        )
+            f"a {M} x {M} table exceeds the table cap {MAX_TABLE_SIDE}", cost=M * M)
 
 
 class EntryPermutation:
@@ -134,7 +115,7 @@ class EntryPermutation:
         if not (1 <= i <= self.M and 1 <= j <= self.M):
             raise ValueError(f"index ({i}, {j}) outside [1, {self.M}]^2")
 
-    def image_arrays(self, max_side: int = MAX_TABLE_SIDE) -> tuple[np.ndarray, np.ndarray]:
+    def image_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Full image grids (R, C) with (R[i-1, j-1], C[i-1, j-1]) = sigma(i, j).
 
         The letters are evaluated on a column and a row of int32 indices,
@@ -143,7 +124,7 @@ class EntryPermutation:
         The structured kinds keep int32, so products of two entries need a
         wider type.
         """
-        _check_grid_side(self.M, max_side)
+        _check_grid_side(self.M)
         cached = getattr(self, "_image_cache", None)
         if cached is None:
             idx = np.arange(1, self.M + 1, dtype=np.int32)
@@ -152,14 +133,14 @@ class EntryPermutation:
             self._image_cache = cached
         return cached
 
-    def is_symmetric(self, max_side: int = MAX_TABLE_SIDE) -> bool:
+    def is_symmetric(self) -> bool:
         """True iff sigma commutes with the swap t(a, b) = (b, a).
 
         Only kinds not symmetric by construction build their image tables.
         """
         if self._symmetric_by_construction:
             return True
-        R, C = self.image_arrays(max_side)
+        R, C = self.image_arrays()
         return bool(np.array_equal(R.T, C))
 
     def __eq__(self, other):
@@ -235,49 +216,39 @@ class PartialTranspose(EntryPermutation):
     _symmetric_by_construction = True
 
     def __init__(self, b: int, d: int, side: Side = Side.RIGHT):
-        self.spec = BlockSpec(b, d, side)
+        if b < 1 or d < 1:
+            raise ValueError(f"block parameters must be >= 1, got b={b}, d={d}")
+        self.b, self.d, self.side = b, d, side
         self.M = b * d
-
-    @property
-    def b(self) -> int:
-        return self.spec.b
-
-    @property
-    def d(self) -> int:
-        return self.spec.d
-
-    @property
-    def side(self) -> Side:
-        return self.spec.side
 
     def __call__(self, i, j):
         self._check_point(i, j)
-        if self.spec.side is Side.LEFT:
+        if self.side is Side.LEFT:
             i, j = j, i
-        d = self.spec.d
+        d = self.d
         a1, b1 = index_decompose(i, d)
         a2, b2 = index_decompose(j, d)
         return (a1 - 1) * d + b2, (a2 - 1) * d + b1
 
     def eval_arrays(self, X, Y):
-        if self.spec.side is Side.LEFT:
+        if self.side is Side.LEFT:
             X, Y = Y, X
         # the images swap the in-block offsets (X - 1) % d and (Y - 1) % d;
         # one shift array and no block-number arrays keep the temporaries few
-        d = self.spec.d
+        d = self.d
         shift = (Y - 1) % d - (X - 1) % d
         return X + shift, Y - shift
 
     def key(self):
-        return ("pt", self.spec.b, self.spec.d, self.spec.side.value)
+        return ("pt", self.b, self.d, self.side.value)
 
     def invert(self):
         # both the right and the left version are involutions
         return self
 
     def __repr__(self):
-        tag = "G" if self.spec.side is Side.RIGHT else "LG"
-        return f"{tag}({self.spec.b},{self.spec.d})"
+        tag = "G" if self.side is Side.RIGHT else "LG"
+        return f"{tag}({self.b},{self.d})"
 
 
 class InducedDiagonal(EntryPermutation):
@@ -309,9 +280,6 @@ class InducedDiagonal(EntryPermutation):
             inv[t - 1] = k
         return InducedDiagonal(inv)
 
-    def fixed_point_count(self) -> int:
-        return sum(1 for k, t in enumerate(self.theta, start=1) if k == t)
-
     def __repr__(self):
         return f"InducedDiagonal(M={self.M})"
 
@@ -319,13 +287,13 @@ class InducedDiagonal(EntryPermutation):
 class TablePermutation(EntryPermutation):
     """Explicit tabulated bijection of [M]^2; bijectivity checked exhaustively."""
 
-    def __init__(self, R: np.ndarray, C: np.ndarray, max_side: int = MAX_TABLE_SIDE):
+    def __init__(self, R: np.ndarray, C: np.ndarray):
         R = np.asarray(R, dtype=np.int64)
         C = np.asarray(C, dtype=np.int64)
         if R.shape != C.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
             raise ValueError("image tables must be two square arrays of equal shape")
         M = R.shape[0]
-        _check_grid_side(M, max_side)
+        _check_grid_side(M)
         enc = (R - 1) * M + (C - 1)
         if enc.min() < 0 or enc.max() >= M * M or np.unique(enc).size != M * M:
             raise ValueError("image table is not a bijection of [M]^2")
@@ -351,7 +319,7 @@ class TablePermutation(EntryPermutation):
     def eval_arrays(self, X, Y):
         return self._R[X - 1, Y - 1], self._C[X - 1, Y - 1]
 
-    def image_arrays(self, max_side: int = MAX_TABLE_SIDE):
+    def image_arrays(self):
         return self._R, self._C
 
     def key(self):
@@ -419,13 +387,12 @@ def invert(perm: EntryPermutation) -> EntryPermutation:
     return perm.invert()
 
 
-def extensionally_equal(p: EntryPermutation, q: EntryPermutation,
-                        max_side: int = MAX_TABLE_SIDE) -> bool:
+def extensionally_equal(p: EntryPermutation, q: EntryPermutation) -> bool:
     """Pointwise equality of two permutations (exhaustive over [M]^2)."""
     if p.M != q.M:
         return False
-    Rp, Cp = p.image_arrays(max_side)
-    Rq, Cq = q.image_arrays(max_side)
+    Rp, Cp = p.image_arrays()
+    Rq, Cq = q.image_arrays()
     return bool(np.array_equal(Rp, Rq) and np.array_equal(Cp, Cq))
 
 
@@ -551,13 +518,13 @@ def _n_vars(arg_spec) -> int:
                    default=-1)
 
 
-def _iter_var_grid(n_vars: int, M: int, chunk: int = _CHUNK):
+def _iter_var_grid(n_vars: int, M: int):
     """Yield 1-based value arrays (one per variable) covering [M]^n_vars."""
     if n_vars == 0:
         yield []
         return
     inner = n_vars
-    while inner > 1 and M**inner > chunk:
+    while inner > 1 and M**inner > _CHUNK:
         inner -= 1
     outer = n_vars - inner
     inner_grid = np.indices((M,) * inner, dtype=np.int32).reshape(inner, -1)
@@ -577,7 +544,7 @@ def _grid_images(perms, cols, arg_spec) -> list:
     return [p.eval_arrays(resolve(a), resolve(b)) for p, (a, b) in zip(perms, arg_spec)]
 
 
-def _constrained_chunks(perms, M: int, arg_spec, equalities, chunk: int = _CHUNK):
+def _constrained_chunks(perms, M: int, arg_spec, equalities):
     """Yield (cols, mask) per chunk of the grid [M]^variables.
 
     ``cols`` holds the variable values (pinned scalars or arrays, see
@@ -586,7 +553,7 @@ def _constrained_chunks(perms, M: int, arg_spec, equalities, chunk: int = _CHUNK
     ``equalities``).  With no variables (all arguments pinned) the mask is a
     scalar.
     """
-    for cols in _iter_var_grid(_n_vars(arg_spec), M, chunk):
+    for cols in _iter_var_grid(_n_vars(arg_spec), M):
         images = _grid_images(perms, cols, arg_spec)
         mask = None
         for (t, x), (s, y) in equalities:
@@ -628,7 +595,7 @@ class SharedGridCounter:
             return _count_by_enumeration(letters, radix, arg_spec, equalities)
         key = (tuple(letters), radix, tuple(arg_spec))
         if key not in self._grids:
-            cols = next(_iter_var_grid(n_vars, radix))  # one chunk: points <= _CHUNK
+            cols = next(_iter_var_grid(n_vars, radix))  # the whole grid, as points <= _CHUNK
             self._grids[key] = (_grid_images(letters, cols, arg_spec), {})
         images, masks = self._grids[key]
         mask = np.ones(points, dtype=bool)
@@ -787,7 +754,7 @@ def _count_triples(sigma, tau, pattern, left_proj, right_proj) -> int:
 def _triple_value_tables(sigma, tau, pattern, left_proj, right_proj):
     """Value tables VL[s, f], VR[s, f] indexed by (shared index, free index)."""
     M = sigma.M
-    _check_grid_side(M, MAX_TABLE_SIDE)
+    _check_grid_side(M)
     idx = np.arange(1, M + 1, dtype=np.int64)
     S, F = np.meshgrid(idx, idx, indexing="ij")
     left_args, right_args = _PATTERNS[pattern]
@@ -871,8 +838,7 @@ def all_partial_transposes(M: int, side: Side = Side.RIGHT) -> list[PartialTrans
     return out
 
 
-def random_symmetric_table(M: int, rng: np.random.Generator,
-                           max_side: int = MAX_TABLE_SIDE) -> TablePermutation:
+def random_symmetric_table(M: int, rng: np.random.Generator) -> TablePermutation:
     """A uniformly structured random symmetric entry permutation.
 
     Symmetric permutations permute the diagonal among itself and act on the
@@ -880,7 +846,7 @@ def random_symmetric_table(M: int, rng: np.random.Generator,
     flipped.  Sampling each of those three choices independently produces a
     symmetric bijection of [M]^2.
     """
-    _check_grid_side(M, max_side)
+    _check_grid_side(M)
     R = np.zeros((M, M), dtype=np.int64)
     C = np.zeros((M, M), dtype=np.int64)
 
@@ -899,4 +865,4 @@ def random_symmetric_table(M: int, rng: np.random.Generator,
         R[a - 1, b - 1], C[a - 1, b - 1] = u, v
         R[b - 1, a - 1], C[b - 1, a - 1] = v, u
 
-    return TablePermutation(R, C, max_side=max_side)
+    return TablePermutation(R, C)

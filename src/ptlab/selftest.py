@@ -169,7 +169,7 @@ def criterion_4() -> CriterionResult:
     return _result(4, "Wick auto path = fast path = naive path", body)
 
 
-def criterion_5(samples: int = 100000, seed: int = 42) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Monte Carlo agreement with the exact oracle at 5 standard errors."""
 
     def body():
@@ -184,7 +184,7 @@ def criterion_5(samples: int = 100000, seed: int = 42) -> CriterionResult:
                 (g24, I, g24, I), (g42, g42, g42, g42),
             ]
         ]
-        cfg = mc.SamplerConfig(shape, samples, seed)
+        cfg = mc.SamplerConfig(shape, 100000, 42)
         reports = mc.mc_mixed_moments(words, cfg)
         zmax = 0.0
         for word, rep in zip(words, reports):
@@ -248,7 +248,7 @@ def criterion_7() -> CriterionResult:
     return _result(7, "right-vs-left triple count bounds", body)
 
 
-def criterion_8(samples: int = 10000, seed: int = 42) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Variance scaling slope in [-2.3, -1.7] and bounded Tr covariance band."""
 
     def body():
@@ -258,7 +258,7 @@ def criterion_8(samples: int = 10000, seed: int = 42) -> CriterionResult:
             word = wk.WickWord(shape, (PartialTranspose(2, M // 2),
                                        PartialTranspose(M // 2, 2)))
             jobs.append((M, word))
-        cfg = mc.SamplerConfig(MatrixShape(8, 8), samples, seed)
+        cfg = mc.SamplerConfig(MatrixShape(8, 8), 10000, 42)
         fit = mc.variance_scaling_probe(jobs, cfg)
         # the exact slope on the same grid: how far inside the bound the
         # sampler's target lies, so a change of the sampler's bits shows as a number

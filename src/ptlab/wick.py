@@ -31,7 +31,10 @@ points.  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
 it, whatever M is; divisor-chain words have no mixed level and build no
 grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
 is one mixed level of radix M.  The enumeration budget applies to the
-sum of the mixed levels' grids, the points enumerated.
+sum of the mixed levels' grids, the points enumerated.  A moment's word has
+at most ``MAX_WORD_LEN`` = 6 letters; a covariance's two words together are
+held to the pairing enumeration's cap, ``partitions.MAX_PAIRING_ORDER`` = 8
+letters.  These caps and the table cap have no override.
 
 ``count_admissible`` has three methods: "auto" (the digit levels), "fast"
 (the full i-grid as one mixed level of radix M; the reference the levels
@@ -66,8 +69,10 @@ from .perms import (
 
 #: default refusal threshold for enumeration grid sizes
 DEFAULT_BUDGET = 2**32
-#: default cap on word length (pairing count grows like m!)
+#: cap on the length of a moment's word (pairing count grows like m!)
 MAX_WORD_LEN = 6
+#: cap on the admissible i-tuples ``count_admissible_restricted`` materializes
+MAX_RESTRICTED_TUPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -264,13 +269,12 @@ def _count_admissible_naive(pairing: Pairing, word: WickWord) -> int:
 
 
 def exact_mixed_moment(word: WickWord, method: str = "auto",
-                       budget: int | None = DEFAULT_BUDGET,
-                       max_m: int = MAX_WORD_LEN) -> RationalMomentReport:
+                       budget: int | None = DEFAULT_BUDGET) -> RationalMomentReport:
     """E tr(W^{sigma_1} ... W^{sigma_m}} as an exact rational, per pairing."""
     m = word.m
-    if m > max_m:
+    if m > MAX_WORD_LEN:
         raise ResourceLimitError(
-            f"word length {m} exceeds the cap {max_m} (the pairing count grows like m!)",
+            f"word length {m} exceeds the cap {MAX_WORD_LEN} (the pairing count grows like m!)",
             cost=m)
     M = word.shape.M
     per: dict[Pairing, Fraction] = {}
@@ -283,16 +287,14 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
     return RationalMomentReport(word=word, per_pairing=per, tuple_counts=counts)
 
 
-def exact_mixed_cumulant(word: WickWord, method: str = "auto",
-                         budget: int | None = DEFAULT_BUDGET) -> Fraction:
+def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """Multivariate free cumulant kappa_m of the word at finite (M, P)."""
     cache: dict[tuple, Fraction] = {}
 
     def moment(sub: tuple) -> Fraction:
         key = tuple(p.key() for p in sub)
         if key not in cache:
-            cache[key] = exact_mixed_moment(
-                WickWord(word.shape, sub), method=method, budget=budget).total
+            cache[key] = exact_mixed_moment(WickWord(word.shape, sub), budget=budget).total
         return cache[key]
 
     return pts.moments_to_free_cumulants(moment, word.perms)
@@ -302,15 +304,14 @@ def exact_mixed_cumulant(word: WickWord, method: str = "auto",
 # restricted (projected) tuple counts
 # ---------------------------------------------------------------------------
 
-def _valid_i_tuples(word: WickWord, pairing: Pairing,
-                    budget: int | None = DEFAULT_BUDGET,
-                    max_tuples: int = 1 << 22) -> np.ndarray:
+def _valid_i_tuples(word: WickWord, pairing: Pairing) -> np.ndarray:
     """All i-tuples satisfying the l-equalities, as an (N, m) array."""
     m = word.m
     M = word.shape.M
     cost = M**m
-    if budget is not None and cost > budget:
-        raise ResourceLimitError(f"i-grid cost M^m = {cost} exceeds budget {budget}", cost)
+    if cost > DEFAULT_BUDGET:
+        raise ResourceLimitError(
+            f"i-grid cost M^m = {cost} exceeds budget {DEFAULT_BUDGET}", cost)
     rows = []
     count = 0
     equalities = [((t - 1, 0), (s - 1, 1)) for t, s in _factor_pairs(pairing)]
@@ -319,16 +320,14 @@ def _valid_i_tuples(word: WickWord, pairing: Pairing,
         mask, *cols = np.broadcast_arrays(mask, *cols)
         sel = np.stack([c[mask] for c in cols], axis=1)
         count += sel.shape[0]
-        if count > max_tuples:
+        if count > MAX_RESTRICTED_TUPLES:
             raise ResourceLimitError(
-                f"admissible i-tuple set exceeds the cap {max_tuples}", count)
+                f"admissible i-tuple set exceeds the cap {MAX_RESTRICTED_TUPLES}", count)
         rows.append(sel)
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, m), dtype=np.int64)
 
 
-def count_admissible_restricted(pairing: Pairing, word: WickWord, D,
-                                budget: int | None = DEFAULT_BUDGET,
-                                max_tuples: int = 1 << 22) -> int:
+def count_admissible_restricted(pairing: Pairing, word: WickWord, D) -> int:
     """#A_{pi, sigmas}(D): distinct projections sigmas(u)[D] over admissible u.
 
     The flat vector sigmas(u) = (l_1, j_1, j_-1, l_-1, ..., l_m, j_m, j_-m,
@@ -340,7 +339,7 @@ def count_admissible_restricted(pairing: Pairing, word: WickWord, D,
     D = sorted(set(int(x) for x in D))
     if any(not 1 <= x <= 2 * m for x in D):
         raise ValueError(f"D must be a subset of [1, {2 * m}]")
-    tuples = _valid_i_tuples(word, pairing, budget=budget, max_tuples=max_tuples)
+    tuples = _valid_i_tuples(word, pairing)
     if tuples.shape[0] == 0:
         return 0
     P = word.shape.P
@@ -376,36 +375,33 @@ def count_admissible_restricted(pairing: Pairing, word: WickWord, D,
 # ---------------------------------------------------------------------------
 
 def exact_trace_covariance(word1: WickWord, word2: WickWord,
-                           budget: int | None = DEFAULT_BUDGET,
-                           max_total: int = MAX_WORD_LEN + 2) -> Fraction:
+                           budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """Cov(Tr W^{sigmas}, Tr W^{taus}) with Tr the unnormalized trace.
 
     Equals M^-(m+r) times the number of admissible combined tuples, summed
     over the connected bipartite pairings of [2(m+r)] (those coupling the two
     trace cycles).
     """
-    return _trace_pair_sum(word1, word2, budget, connected_only=True, max_total=max_total)
+    return _trace_pair_sum(word1, word2, budget, connected_only=True)
 
 
-def exact_trace_product_expectation(word1: WickWord, word2: WickWord,
-                                    budget: int | None = DEFAULT_BUDGET) -> Fraction:
+def exact_trace_product_expectation(word1: WickWord, word2: WickWord) -> Fraction:
     """E(Tr W^{sigmas} * Tr W^{taus}); all bipartite pairings, not just connected."""
-    return _trace_pair_sum(word1, word2, budget, connected_only=False)
+    return _trace_pair_sum(word1, word2, DEFAULT_BUDGET, connected_only=False)
 
 
 def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
-                    connected_only: bool, max_total: int | None = None) -> Fraction:
+                    connected_only: bool) -> Fraction:
     """M^-(m+r) times the admissible combined tuples of the two trace cycles.
 
     Sums over the bipartite pairings of [2(m+r)], only those coupling the
-    two cycles when ``connected_only``.
+    two cycles when ``connected_only``; more than
+    ``partitions.MAX_PAIRING_ORDER`` letters in all are refused.
     """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
     m, r = word1.m, word2.m
     K = m + r
-    if max_total is not None and K > max_total:
-        raise ResourceLimitError(f"total word length {K} exceeds the cap {max_total}", K)
     M, P = word1.shape.M, word1.shape.P
     perms = word1.perms + word2.perms
     levels = digit_levels(perms)

@@ -167,6 +167,13 @@ def test_exit_codes(capsys):
     # a divisor-chain word takes the digit path and builds no grid
     code = cli.main(["covariance", "--M", "256", "--word1", "I,I,I", "--word2", "I,I,I"])
     assert code == 0
+    # the length caps: 6 letters for a moment, 8 in all for a covariance
+    assert cli.main(["moment", "--M", "4", "--word", "I,I,I,I,I,I,I"]) == 3
+    assert "exceeds the cap 6" in capsys.readouterr().err
+    five = "I,I,I,I,I"
+    assert cli.main(["covariance", "--M", "4", "--word1", five, "--word2", "I,I,I,I"]) == 3
+    assert "9! = 362880 pairings" in capsys.readouterr().err
+    assert cli.main(["covariance", "--M", "4", "--word1", five, "--word2", "I,I,I"]) == 0
     capsys.readouterr()
 
 
@@ -320,6 +327,18 @@ def test_sweep_point_missing_key_is_an_error_row(tmp_path, capsys):
     assert "'word'" in capsys.readouterr().err
     rows = list(csv.DictReader(out.open()))
     assert "'word'" in rows[0]["error"] and rows[1]["exact"] == "1"
+    # a grid point that is not an object gets an error row of its own
+    config = {"command": "moment", "word": "I", "grid": [{"M": 4}, 5, {"M": 2}]}
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert [bool(r["error"]) for r in rows] == [False, True, False]
+    assert rows[0]["exact"] == rows[2]["exact"] == "1"
+    # a config that is not an object is refused as a whole
+    cfg_path.write_text(json.dumps([config]))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: sweep config")
 
 
 def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):

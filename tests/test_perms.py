@@ -134,6 +134,13 @@ def test_count_fixed_points_matches_agreements():
         t = pm.random_symmetric_table(M, rng)
         comp = pm.compose(pm.invert(s), t)
         assert pm.count_fixed_points(comp) == pm.count_agreements(s, t)
+    # partial transposes: the composition compares M x M tables, the
+    # agreement count works on the pair's digit levels
+    for M in (16, 64):
+        for s, t in ((PartialTranspose(M // 2, 2), PartialTranspose(2, M // 2)),
+                     (PartialTranspose(4, M // 4), PartialTranspose(M // 8, 8, Side.LEFT))):
+            comp = pm.compose(pm.invert(s), t)
+            assert pm.count_fixed_points(comp) == pm.count_agreements(s, t)
     assert pm.count_fixed_points(Identity(5)) == 25
     assert pm.count_fixed_points(Transpose(5)) == 5
 
