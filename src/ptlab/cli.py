@@ -436,13 +436,18 @@ def _cmd_simulate(args) -> int:
 def _sweep_point(job: dict) -> dict:
     cmd = job["command"]
 
-    def need(key):
+    def need(key, kind=str):
+        """The job's ``key``: an int (from a JSON number or string) or a string."""
         if key not in job:
             raise ValueError(f"sweep command {cmd!r} needs the key {key!r}")
-        return job[key]
+        val = job[key]
+        if isinstance(val, bool) or not isinstance(val, (int, str) if kind is int else str):
+            what = "an integer" if kind is int else "a string"
+            raise ValueError(f"sweep key {key!r} must be {what}, not {json.dumps(val)}")
+        return kind(val)
 
-    M = int(need("M"))
-    P = int(job.get("P", M))
+    M = need("M", int)
+    P = need("P", int) if "P" in job else M
     shape = MatrixShape(M, P)
     if cmd == "count":
         a = parse_perm_literal(need("a"), M)
@@ -454,7 +459,7 @@ def _sweep_point(job: dict) -> dict:
         w1 = wk.WickWord(shape, parse_word(need("word1"), M))
         w2 = wk.WickWord(shape, parse_word(need("word2"), M))
         if "samples" in job:
-            cfg = mc.SamplerConfig(shape, int(job["samples"]), int(need("seed")))
+            cfg = mc.SamplerConfig(shape, need("samples", int), need("seed", int))
             rep = mc.mc_covariance(w1, w2, cfg)
             return {"command": cmd, "M": M, "P": P, "word1": job["word1"],
                     "word2": job["word2"], "samples": rep.samples, "seed": rep.seed,
@@ -469,7 +474,7 @@ def _sweep_point(job: dict) -> dict:
         val = wk.exact_mixed_moment(word).total
         return {"command": cmd, "M": M, "P": P, "word": job["word"],
                 "exact": str(val), "mean": "", "std_error": ""}
-    cfg = mc.SamplerConfig(shape, int(need("samples")), int(need("seed")))
+    cfg = mc.SamplerConfig(shape, need("samples", int), need("seed", int))
     rep = mc.mc_mixed_moment(word, cfg)
     return {"command": cmd, "M": M, "P": P, "word": job["word"],
             "samples": rep.samples, "seed": rep.seed,

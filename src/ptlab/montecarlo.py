@@ -13,6 +13,14 @@ numpy call (at most ``_BLOCK_ENTRIES`` matrix entries).  The blocking is not
 part of the contract: every sample's draw is the one a generator of its own
 substream gives, whatever block it falls in.
 
+A polar round takes each row's candidate pairs of uniforms (u01, v01), forms
+u = 2 u01 - 1, v = 2 v01 - 1 and s = u u + v v, keeps the pairs with
+0 < s < 1 in draw order, and emits x = u f then y = v f with
+f = sqrt(-2 log(s) / s) for as many kept pairs as the row needs.  A run of
+the sampler makes one Philox reader and hands it to each block; the reader
+reads any substream (seed, k) from any position by setting its state, so no
+block builds a generator of its own.
+
 Gaussian convention: G has i.i.d. complex entries with E g = 0 and
 E |g|^2 = 1/M, split evenly between real and imaginary parts (variance
 1/(2M) each).  W = G G*.  Statistics are real parts of traces; all expected
@@ -71,38 +79,86 @@ def _polar_round(u01: np.ndarray, v01: np.ndarray, need: int) -> tuple[np.ndarra
     """One round of the polar method on rows of candidate pairs, one row per stream.
 
     ``u01`` and ``v01`` hold the uniforms of each row's candidates in draw
-    order.  A row emits x then y of each accepted pair (0 < s < 1) until it has
-    ``need`` values.  Returns the (rows, need) values and how many of them
-    each row filled; a row's values past that count are not normals.
+    order; the round overwrites them.  A row emits x then y of each accepted
+    pair (0 < s < 1) until it has ``need`` values.  Returns the (rows, need)
+    values and how many of them each row filled; a row's values past that
+    count are not normals.
     """
-    u = 2.0 * u01 - 1.0
-    v = 2.0 * v01 - 1.0
-    s = u * u + v * v
-    ok = (s > 0.0) & (s < 1.0)
-    pairs = (need + 1) // 2
-    counts = np.count_nonzero(ok, axis=1)
-    got = np.minimum(2 * counts, need)
+    u = np.multiply(u01, 2.0, out=u01)
+    u -= 1.0
+    v = np.multiply(v01, 2.0, out=v01)
+    v -= 1.0
+    s = np.multiply(u, u)
+    s += np.multiply(v, v)
+    ok = s < 1.0
+    ok &= s > 0.0
+    rows, pairs = len(u), (need + 1) // 2
     hits = np.flatnonzero(ok)  # accepted candidates, row after row, in draw order
+    counts = np.count_nonzero(ok, axis=1) if rows > 1 else np.array([hits.size])
+    got = np.minimum(2 * counts, need)
     if hits.size == 0:
-        return np.empty((len(u), need)), got
-    # row r's j-th accepted candidate is hits[first[r] + j]; a row with fewer
-    # than ``pairs`` repeats its last one (or, with none, its neighbour's)
-    first = np.cumsum(counts) - counts
-    kept = hits[first[:, None] + np.minimum(np.arange(pairs), counts[:, None] - 1)]
+        return np.empty((rows, need)), got
+    # row r's j-th accepted candidate is hits[first[r] + j]
+    if rows == 1 and hits.size >= pairs:
+        kept = hits[None, :pairs]
+    else:
+        first = np.cumsum(counts) - counts
+        if counts.min() >= pairs:
+            kept = hits[first[:, None] + np.arange(pairs)]
+        else:
+            # a row with fewer than ``pairs`` repeats its last one (or, with
+            # none, its neighbour's); such a row is short about once in 1e15
+            kept = hits[first[:, None] + np.minimum(np.arange(pairs), counts[:, None] - 1)]
     sk = s.take(kept)
-    f = np.sqrt(-2.0 * np.log(sk) / sk)
-    xy = np.empty((len(u), pairs, 2))
+    f = np.log(sk)
+    f *= -2.0
+    f /= sk
+    np.sqrt(f, out=f)
+    xy = np.empty((rows, pairs, 2))
     np.multiply(u.take(kept), f, out=xy[..., 0])
     np.multiply(v.take(kept), f, out=xy[..., 1])
-    return xy.reshape(len(u), 2 * pairs)[:, :need], got
+    return xy.reshape(rows, 2 * pairs)[:, :need], got
+
+
+class _PhiloxReader:
+    """One Philox generator that reads any substream (seed, k) from any position.
+
+    A sampler run makes one reader and hands it to each of its blocks; setting
+    its state costs about 2 us, where building a Philox and a Generator and
+    reading the state cost about 20 us, once per block at M = 64.
+    """
+
+    def __init__(self):
+        self.bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        self.gen = np.random.Generator(self.bitgen)
+        self.state = self.bitgen.state
+        self.key = self.state["state"]["key"]
+        self.counter = self.state["state"]["counter"]
+
+    def read(self, seed: int, k: int, start: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the uniforms from ``start`` (a multiple of 4) of substream (seed, k).
+
+        The state is set to key (seed, k), counter start // 4 and an empty
+        buffer: the state of a fresh ``_substream(seed, k)`` after ``start``
+        uniforms.
+        """
+        self.key[0] = seed & _MASK64
+        self.key[1] = k & _MASK64
+        self.counter[0] = start // 4
+        self.bitgen.state = self.state
+        self.gen.random(out=out)
 
 
 class _Substreams:
-    """The substreams (seed, k) of a block of samples ks, one row per sample."""
+    """The substreams (seed, k) of a block of samples ks, one row per sample.
 
-    def __init__(self, seed: int, ks: range):
+    ``reader`` is the run's ``_PhiloxReader``; without one the block makes its own.
+    """
+
+    def __init__(self, seed: int, ks: range, reader: _PhiloxReader | None = None):
         self.seed = seed
         self.ks = ks
+        self.reader = _PhiloxReader() if reader is None else reader
 
     def generator(self, row: int) -> np.random.Generator:
         return _substream(self.seed, self.ks[row])
@@ -111,28 +167,18 @@ class _Substreams:
         """The u and v uniforms of each row's first ``cols`` candidate pairs.
 
         In a polar round of ``batch`` pairs these are the uniforms [0, cols)
-        and [batch, batch + cols) of the row's stream.  One Philox reads them
-        all: for a read from uniform ``start`` (a multiple of 4) its state is set
-        to key (seed, k), counter start // 4 and an empty buffer, the state of a
-        fresh ``_substream(seed, k)`` after ``start`` uniforms.  A gap of fewer
-        than 512 uniforms between the two ranges is read through: a second
-        read costs about 3.3 us (reset and call), a uniform about 6 ns.
+        and [batch, batch + cols) of the row's stream.  A gap of fewer than 512
+        uniforms between the two ranges is read through: a second read costs
+        about 4 us (reset and call), a uniform about 8 ns.
         """
-        bitgen = np.random.Philox(key=np.array([self.seed & _MASK64, 0], dtype=np.uint64))
-        gen = np.random.Generator(bitgen)
-        state = bitgen.state
-        key, counter = state["state"]["key"], state["state"]["counter"]
         aligned = batch - batch % 4
         reads = ([(0, batch + cols)] if aligned - cols < 512
                  else [(0, cols), (aligned, batch + cols)])
         buf = np.empty((len(self.ks), sum(stop - start for start, stop in reads)))
         for row, k in enumerate(self.ks):
-            key[1] = k & _MASK64
             at = 0
             for start, stop in reads:
-                counter[0] = start // 4
-                bitgen.state = state
-                gen.random(out=buf[row, at:at + stop - start])
+                self.reader.read(self.seed, k, start, buf[row, at:at + stop - start])
                 at += stop - start
         return buf[:, :cols], buf[:, buf.shape[1] - cols:]
 
@@ -183,13 +229,17 @@ def sample_ginibre(shape: MatrixShape, gen: np.random.Generator | _Substreams) -
     From a block of sample substreams it gives the stack of their draws.
     """
     M, P = shape.M, shape.P
-    vals = polar_normals(gen, 2 * M * P) / math.sqrt(2 * M)
-    return (vals[..., :M * P] + 1j * vals[..., M * P:]).reshape(vals.shape[:-1] + (M, P))
+    vals = polar_normals(gen, 2 * M * P)
+    G = np.empty(vals.shape[:-1] + (M, P), dtype=complex)
+    scale = math.sqrt(2 * M)
+    np.divide(vals[..., :M * P].reshape(G.shape), scale, out=G.real)
+    np.divide(vals[..., M * P:].reshape(G.shape), scale, out=G.imag)
+    return G
 
 
-def _wishart_stack(shape: MatrixShape, seed: int, ks: range) -> np.ndarray:
-    """The W = G G* draws of samples ks, stacked along the first axis."""
-    G = sample_ginibre(shape, _Substreams(seed, ks))
+def _wishart_stack(shape: MatrixShape, seed: int, ks: range, reader: _PhiloxReader) -> np.ndarray:
+    """The W = G G* draws of samples ks, stacked along the first axis, read through ``reader``."""
+    G = sample_ginibre(shape, _Substreams(seed, ks, reader))
     return G @ G.conj().transpose(0, 2, 1)
 
 
@@ -203,9 +253,10 @@ def sample_wishart(config: SamplerConfig):
     The draws are made ``_block_samples`` samples at a time.
     """
     step = _block_samples(config.shape)
+    reader = _PhiloxReader()
     for start in range(0, config.samples, step):
         ks = range(start, min(start + step, config.samples))
-        yield from _wishart_stack(config.shape, config.seed, ks)
+        yield from _wishart_stack(config.shape, config.seed, ks, reader)
 
 
 def _fsum_mean_se(vals: Sequence[float]) -> tuple[float, float]:
@@ -218,17 +269,25 @@ def _fsum_mean_se(vals: Sequence[float]) -> tuple[float, float]:
 
 
 class _WordEvaluator:
-    """Precomputed gather indices for tr / Tr of a word on stacks of W draws."""
+    """Precomputed gather indices for tr / Tr of a word on stacks of W draws.
+
+    An identity letter has no gather: it multiplies by the stack itself.
+    """
 
     def __init__(self, perms: Iterable[EntryPermutation], M: int):
-        self.gathers = [rows * M + cols for rows, cols in map(gather_indices, perms)]
+        identity = np.arange(M * M).reshape(M, M)
+        self.gathers = []
+        for rows, cols in map(gather_indices, perms):
+            idx = rows * M + cols
+            self.gathers.append(None if np.array_equal(idx, identity) else idx)
 
     def traces(self, Ws: np.ndarray) -> list[float]:
         """Re Tr of the word on each W of the stack, one fsum per draw."""
         flat = Ws.reshape(len(Ws), -1)
-        prod = flat.take(self.gathers[0], axis=1)
-        for idx in self.gathers[1:]:
-            prod = prod @ flat.take(idx, axis=1)
+        prod = None
+        for idx in self.gathers:
+            W = Ws if idx is None else flat.take(idx, axis=1)
+            prod = W if prod is None else prod @ W
         return [math.fsum(d) for d in np.diagonal(prod, axis1=1, axis2=2).real.tolist()]
 
 
@@ -349,22 +408,29 @@ def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: Sampler
     """Variance of the normalized trace statistic along an M grid, plus fit.
 
     ``jobs`` is a list of (M, word); each grid point reruns the sampler with
-    the same seed and sample count at that word's shape.
+    the same seed and sample count at that word's shape.  ``variance_se``
+    holds the standard error of each variance, from the sample's fourth
+    central moment: Var(s^2) = mu4 / n - sigma^4 (n - 3) / (n (n - 1)).
     """
     if len(jobs) < 3:
         raise ValueError("need a grid of at least 3 points")
-    Ms, variances, tr_variances = [], [], []
+    Ms, variances, variance_se, tr_variances = [], [], [], []
     for M, word in jobs:
         cfg = SamplerConfig(word.shape, config.samples, config.seed)
         vals = (_statistics_per_sample([word], cfg)[0] / word.shape.M).tolist()
-        mean = math.fsum(vals) / len(vals)
-        var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
+        n = len(vals)
+        mean = math.fsum(vals) / n
+        squares = [(v - mean) ** 2 for v in vals]
+        var = math.fsum(squares) / (n - 1)
+        mu4 = math.fsum(q * q for q in squares) / n
         Ms.append(M)
         variances.append(var)
+        variance_se.append(math.sqrt(max(mu4 - var * var * (n - 3) / (n - 1), 0.0) / n))
         tr_variances.append(var * M * M)
     fit = fit_variance_slope(Ms, variances)
     fit["Ms"] = Ms
     fit["variances"] = variances
+    fit["variance_se"] = variance_se
     fit["Tr_variances"] = tr_variances  # unnormalized-trace variances
     return fit
 
@@ -376,7 +442,8 @@ def as_convergence_path(jobs: Sequence[tuple[int, WickWord]], config: SamplerCon
     the same seed reproduces the path bit-exactly.
     """
     path = []
+    reader = _PhiloxReader()
     for g, (M, word) in enumerate(jobs):
-        Ws = _wishart_stack(word.shape, config.seed, range(g, g + 1))
+        Ws = _wishart_stack(word.shape, config.seed, range(g, g + 1), reader)
         path.append(_WordEvaluator(word.perms, word.shape.M).traces(Ws)[0] / word.shape.M)
     return path

@@ -260,16 +260,20 @@ def criterion_8() -> CriterionResult:
             jobs.append((M, word))
         cfg = mc.SamplerConfig(MatrixShape(8, 8), 10000, 42)
         fit = mc.variance_scaling_probe(jobs, cfg)
-        # the exact slope on the same grid: how far inside the bound the
-        # sampler's target lies, so a change of the sampler's bits shows as a number
-        exact = mc.fit_variance_slope(
-            [M for M, _ in jobs],
-            [float(wk.exact_trace_covariance(w, w)) / (M * M) for M, w in jobs])["slope"]
+        # the exact variances and slope on the same grid: how far inside the
+        # bound the sampler's target lies, and how far each Monte Carlo
+        # variance lies from its exact value in standard errors, so a change
+        # of the sampler's bits shows as a number
+        exact_vars = [float(wk.exact_trace_covariance(w, w)) / (M * M) for M, w in jobs]
+        exact = mc.fit_variance_slope([M for M, _ in jobs], exact_vars)["slope"]
         slope = fit["slope"]
         assert -2.3 <= slope <= -1.7, f"slope {slope:.3f} outside [-2.3, -1.7] (exact {exact:.4f})"
         band = max(fit["Tr_variances"]) / min(fit["Tr_variances"])
         assert band < 3.0, f"Tr-variance band max/min = {band:.2f} >= 3"
+        zs = ", ".join(f"{abs(v - e) / se:.2f}"
+                       for v, e, se in zip(fit["variances"], exact_vars, fit["variance_se"]))
         return (f"slope = {slope:.3f} (exact {exact:.4f}, {exact + 2.3:.3f} inside -2.3), "
+                f"variance |z| = {zs} at M = 8-64, "
                 f"Tr-variance band max/min = {band:.2f}")
 
     return _result(8, "Variance scaling and covariance band", body)

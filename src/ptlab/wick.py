@@ -44,6 +44,7 @@ weight directly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -273,9 +274,10 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
     """E tr(W^{sigma_1} ... W^{sigma_m}} as an exact rational, per pairing."""
     m = word.m
     if m > MAX_WORD_LEN:
+        cost = math.factorial(m)
         raise ResourceLimitError(
-            f"word length {m} exceeds the cap {MAX_WORD_LEN} (the pairing count grows like m!)",
-            cost=m)
+            f"{m} letters have {m}! = {cost} pairings, over the word-length cap of "
+            f"{MAX_WORD_LEN} letters", cost)
     M = word.shape.M
     per: dict[Pairing, Fraction] = {}
     counts: dict[Pairing, int] = {}

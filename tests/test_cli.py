@@ -169,7 +169,8 @@ def test_exit_codes(capsys):
     assert code == 0
     # the length caps: 6 letters for a moment, 8 in all for a covariance
     assert cli.main(["moment", "--M", "4", "--word", "I,I,I,I,I,I,I"]) == 3
-    assert "exceeds the cap 6" in capsys.readouterr().err
+    assert ("7 letters have 7! = 5040 pairings, over the word-length cap of 6 letters"
+            in capsys.readouterr().err)
     five = "I,I,I,I,I"
     assert cli.main(["covariance", "--M", "4", "--word1", five, "--word2", "I,I,I,I"]) == 3
     assert "9! = 362880 pairings" in capsys.readouterr().err
@@ -339,6 +340,16 @@ def test_sweep_point_missing_key_is_an_error_row(tmp_path, capsys):
     cfg_path.write_text(json.dumps([config]))
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: sweep config")
+    # a value of the wrong JSON type gets an error row of its own
+    config = {"command": "moment", "grid": [{"M": None, "word": "I"}, {"M": 4, "word": 5},
+                                            {"M": 4, "word": "I"}]}
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'M' must be an integer, not null" in err and "'word' must be a string, not 5" in err
+    rows = list(csv.DictReader(out.open()))
+    assert [bool(r["error"]) for r in rows] == [True, True, False]
+    assert rows[2]["exact"] == "1"
 
 
 def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):

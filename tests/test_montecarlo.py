@@ -326,3 +326,50 @@ def test_candidates_read_the_round_of_a_fresh_generator():
             uv = mc._substream(seed, 5 + row).random(2 * batch)
             assert u[row].tobytes() == uv[:cols].tobytes()
             assert v[row].tobytes() == uv[batch:batch + cols].tobytes()
+
+
+def test_one_reader_serves_blocks_of_different_seeds():
+    # a run hands its one reader to every block; blocks of two seeds read in
+    # alternation through it must each read their own fresh substreams
+    reader = mc._PhiloxReader()
+    blocks = [mc._Substreams(seed, range(3, 6), reader) for seed in (11, 2**63 + 5)]
+    for batch, cols in ((37, 20), (1170, 555), (37, 20), (190, 135)):
+        for block in blocks:
+            u, v = block.candidates(batch, cols)
+            for row, k in enumerate(block.ks):
+                uv = mc._substream(block.seed, k).random(2 * batch)
+                assert u[row].tobytes() == uv[:cols].tobytes()
+                assert v[row].tobytes() == uv[batch:batch + cols].tobytes()
+
+
+@pytest.mark.parametrize("M", [8, 64])
+def test_identity_letters_match_gathered_letters(M):
+    # an identity letter multiplies by the stack itself; the traces must equal
+    # those of gathering every letter, bit for bit
+    I, T, G = Identity(M), Transpose(M), PartialTranspose(2, M // 2)
+    Ws = np.stack(list(mc.sample_wishart(SamplerConfig(MatrixShape(M, M), 3, 5))))
+    flat = Ws.reshape(len(Ws), -1)
+    for perms in ((I,), (I, G), (G, I, T), (T, G, I), (I, T, I)):
+        ev = mc._WordEvaluator(perms, M)
+        assert [idx is None for idx in ev.gathers] == [p is I for p in perms]
+        prod = functools.reduce(np.matmul, [flat.take(rows * M + cols, axis=1) for rows, cols
+                                            in map(gather_indices, perms)])
+        expected = [math.fsum(d) for d in np.diagonal(prod, axis1=1, axis2=2).real.tolist()]
+        assert [t.hex() for t in ev.traces(Ws)] == [t.hex() for t in expected]
+
+
+def test_variance_standard_errors():
+    # the standard error of each variance is sqrt((m4 - s^4 (n - 3)/(n - 1)) / n)
+    # from the same statistics; at 2000 samples each variance lies within 5
+    # standard errors of its exact value
+    jobs = [(M, word(M, M, PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2)))
+            for M in (4, 8, 16)]
+    cfg = SamplerConfig(MatrixShape(4, 4), 2000, 3)
+    fit = mc.variance_scaling_probe(jobs, cfg)
+    for (M, w), var, se in zip(jobs, fit["variances"], fit["variance_se"]):
+        vals = mc._statistics_per_sample([w], SamplerConfig(w.shape, 2000, 3))[0] / M
+        dev = vals - vals.mean()
+        m4 = np.mean(dev**4)
+        assert se == pytest.approx(math.sqrt((m4 - var**2 * 1997 / 1999) / 2000), rel=1e-9)
+        exact = float(wk.exact_trace_covariance(w, w)) / (M * M)
+        assert abs(var - exact) <= 5 * se

@@ -112,8 +112,9 @@ def test_method_agreement_and_budget():
     with pytest.raises(ResourceLimitError):
         wk.count_admissible(pts.delta(2), word(70000, 4, *(Identity(70000),) * 2),
                             method="naive")
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         wk.exact_mixed_moment(word(4, 4, *(Identity(4),) * 7))
+    assert info.value.cost == 5040  # 7! pairings
 
 
 def test_report_total_is_computed_from_per_pairing():
