@@ -437,11 +437,12 @@ def _sweep_point(job: dict) -> dict:
     cmd = job["command"]
 
     def need(key, kind=str):
-        """The job's ``key``: an int (from a JSON number or string) or a string."""
+        """The job's ``key``: an int (from a whole JSON number or a string) or a string."""
         if key not in job:
             raise ValueError(f"sweep command {cmd!r} needs the key {key!r}")
         val = job[key]
-        if isinstance(val, bool) or not isinstance(val, (int, str) if kind is int else str):
+        whole = isinstance(val, int) or isinstance(val, float) and val.is_integer()
+        if isinstance(val, bool) or not (isinstance(val, str) or kind is int and whole):
             what = "an integer" if kind is int else "a string"
             raise ValueError(f"sweep key {key!r} must be {what}, not {json.dumps(val)}")
         return kind(val)

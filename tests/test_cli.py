@@ -350,6 +350,15 @@ def test_sweep_point_missing_key_is_an_error_row(tmp_path, capsys):
     rows = list(csv.DictReader(out.open()))
     assert [bool(r["error"]) for r in rows] == [True, True, False]
     assert rows[2]["exact"] == "1"
+    # a whole JSON number such as 1e1 or 4.0 is an integer; 4.5 is refused
+    config = {"command": "simulate", "word": "I", "seed": 3,
+              "grid": [{"M": 4.0, "samples": 1e1}, {"M": 4.5, "samples": 10}]}
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "'M' must be an integer, not 4.5" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert [bool(r["error"]) for r in rows] == [False, True]
+    assert (rows[0]["M"], rows[0]["samples"]) == ("4", "10")
 
 
 def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):

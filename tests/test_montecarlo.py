@@ -342,22 +342,6 @@ def test_one_reader_serves_blocks_of_different_seeds():
                 assert v[row].tobytes() == uv[batch:batch + cols].tobytes()
 
 
-@pytest.mark.parametrize("M", [8, 64])
-def test_identity_letters_match_gathered_letters(M):
-    # an identity letter multiplies by the stack itself; the traces must equal
-    # those of gathering every letter, bit for bit
-    I, T, G = Identity(M), Transpose(M), PartialTranspose(2, M // 2)
-    Ws = np.stack(list(mc.sample_wishart(SamplerConfig(MatrixShape(M, M), 3, 5))))
-    flat = Ws.reshape(len(Ws), -1)
-    for perms in ((I,), (I, G), (G, I, T), (T, G, I), (I, T, I)):
-        ev = mc._WordEvaluator(perms, M)
-        assert [idx is None for idx in ev.gathers] == [p is I for p in perms]
-        prod = functools.reduce(np.matmul, [flat.take(rows * M + cols, axis=1) for rows, cols
-                                            in map(gather_indices, perms)])
-        expected = [math.fsum(d) for d in np.diagonal(prod, axis1=1, axis2=2).real.tolist()]
-        assert [t.hex() for t in ev.traces(Ws)] == [t.hex() for t in expected]
-
-
 def test_variance_standard_errors():
     # the standard error of each variance is sqrt((m4 - s^4 (n - 3)/(n - 1)) / n)
     # from the same statistics; at 2000 samples each variance lies within 5
