@@ -22,13 +22,17 @@ its two arguments' digits; on a mixed level, whose radix is the lcm over
 the gcd of the block sizes inside it, the letters act as partial transposes
 of that radix.  ``count_on_digit_levels`` is the one counter: it
 multiplies the keep/swap levels' union-find counts by each mixed level's
-count, for every statistic above and for the Wick oracle's i-count.  A mixed
-level enumerates its radix^variables grid (the i-count; a
-``SharedGridCounter`` evaluates it once for all the pairings of a word), or
-compares the image tables (c) or matches the rows of the value tables
-(triples) of its reduced pair, up to the table cap.  A word with a letter
-of another kind is one mixed level of radix M holding its original letters;
-divisor-chain words have no mixed level.
+count, for every statistic above and for i-counts with pinned indices.
+A keep/swap level's orbits depend only on which image coordinates the
+equalities join, so the Wick oracle counts them for every pairing at once:
+``orbit_labels`` finds the connected components of many small graphs in one
+numpy pass, and ``wick`` keeps one table of free-orbit counts per trace
+cycles and swap pattern.  A mixed level enumerates its radix^variables grid
+(the i-count; a ``SharedGridCounter`` evaluates it once for all the pairings
+of a word), or compares the image tables (c) or matches the rows of the
+value tables (triples) of its reduced pair, up to the table cap.  A word
+with a letter of another kind is one mixed level of radix M holding its
+original letters; divisor-chain words have no mixed level.
 """
 
 from __future__ import annotations
@@ -617,6 +621,30 @@ def check_budget(levels, n_vars: int, budget: int | None) -> None:
             terms = " + ".join(f"{r}^{n_vars}" for r in radices)
             raise ResourceLimitError(
                 f"enumeration cost {terms} = {cost} exceeds budget {budget}", cost)
+
+
+def orbit_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of many graphs on the nodes 0..n_nodes-1 at once.
+
+    Row g of the edge arrays ``u`` and ``v`` (graphs x edges) holds graph g's
+    edges u[g, e] -- v[g, e].  Returns the (graphs, n_nodes) labels: each
+    node gets the least node of its component.  The graphs are laid side by
+    side on one flat label array; each round hooks the larger root of every
+    edge whose ends differ onto the smaller (``np.minimum.at``), then pointer
+    jumping makes every label a root again.  Labels only decrease and stay
+    within their component, so the rounds end, with the least node as root.
+    """
+    graphs = u.shape[0]
+    offset = np.arange(0, graphs * n_nodes, n_nodes)[:, None]
+    u, v = (u + offset).ravel(), (v + offset).ravel()
+    labels = np.arange(graphs * n_nodes)
+    while True:
+        lu, lv = labels[u], labels[v]
+        if np.array_equal(lu, lv):
+            return labels.reshape(graphs, n_nodes) - offset
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(jumped := labels[labels], labels):
+            labels = jumped
 
 
 def count_on_digit_levels(levels, arg_spec, equalities,

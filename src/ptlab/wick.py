@@ -18,16 +18,21 @@ the unique reading under which E tr W = P/M; every identity below asserts
 rational equality, no tolerances.
 
 The j-coordinates always contribute P^(number of j-orbits).  The i-count
-is ``perms.count_on_digit_levels`` on the word's digit levels
-(``perms.digit_levels``), the counter the permutation statistics share: each
+is a product over the word's digit levels (``perms.digit_levels``): each
 l-equality splits into one equality per mixed-radix digit level.  A
-keep/swap level contributes radix^(free digit orbits); a mixed level
-enumerates its radix^m grid, chunk by chunk, on the letters reduced to that
-radix.  The pairings of one word share that grid: ``WickWord.grid_counter``
-(and one ``perms.SharedGridCounter`` per covariance) evaluates the letters
-once and keeps each image equality's mask, up to ``perms.MAX_SHARED_GRID``
-points.  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
-(L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
+keep/swap level contributes radix^(free digit orbits).  Those orbits depend
+only on the pairing, the trace cycles and the level's swap pattern, so
+``_level_orbits`` works them out for every pairing of the order at once
+and keeps the table (one int8 per pairing) per (cycles, swaps) for the
+process; the pairings and their j-orbits sit in one ``_PairingTable`` per
+order.  Pinned endpoints (``segment_sum``) and the "fast" method count on
+``perms.count_on_digit_levels``, the counter the permutation statistics
+share.  A mixed level enumerates its radix^m grid, chunk by chunk, on the
+letters reduced to that radix, per pairing.  The pairings of one word share
+that grid: ``WickWord.grid_counter`` (and one ``perms.SharedGridCounter``
+per covariance) evaluates the letters once and keeps each image equality's
+mask, up to ``perms.MAX_SHARED_GRID`` points.  Words of ``I``, ``T``,
+``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
 it, whatever M is; divisor-chain words have no mixed level and build no
 grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
 is one mixed level of radix M.  The enumeration budget applies to the
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +71,7 @@ from .perms import (
     check_budget,
     count_on_digit_levels,
     digit_levels,
+    orbit_labels,
 )
 
 #: default refusal threshold for enumeration grid sizes
@@ -140,7 +146,9 @@ class RationalMomentReport:
     total: Fraction = field(init=False)
 
     def __post_init__(self):
-        self.total = sum(self.per_pairing.values(), Fraction(0))
+        # the pairings share the denominator M^(m+1): one sum, one reduction
+        self.total = Fraction(sum(self.tuple_counts.values()),
+                              self.word.shape.M ** (self.word.m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +160,84 @@ def _factor_pairs(pairing: Pairing) -> list[tuple[int, int]]:
     return [(t, s) for t, s in enumerate(pairing.factor_map(), start=1)]
 
 
-_ORBIT_CACHE: dict[tuple, list[int]] = {}
+class _PairingTable:
+    """The bipartite pairings of one order K as arrays.
 
-
-def _j_orbit_ids(pairing: Pairing) -> list[int]:
-    """Orbit id per factor under the relation t ~ s for each pair (t, s).
-
-    Depends only on the pairing, so the decomposition is computed once per
-    pairing and shared across words.
+    ``fm[row]`` is the 0-based factor map of ``pairings[row]`` (int8, K! x K),
+    ``row`` maps a pairing's partner tuple to its row, and ``j_ids`` and
+    ``j_orbits`` give each factor's j-orbit (the least factor in it) and each
+    pairing's number of j-orbits, the orbits of t ~ f(t).
     """
-    cached = _ORBIT_CACHE.get(pairing.partner)
-    if cached is not None:
-        return cached
-    uf = pts._UnionFind(pairing.m)
-    for t, s in _factor_pairs(pairing):
-        uf.union(t - 1, s - 1)
-    ids = [uf.find(k) for k in range(pairing.m)]
-    _ORBIT_CACHE[pairing.partner] = ids
-    return ids
+
+    def __init__(self, K: int):
+        self.pairings = enumerate_bipartite_pairings(K)
+        self.row = {p.partner: k for k, p in enumerate(self.pairings)}
+        self.fm = np.array([p.factor_map() for p in self.pairings], dtype=np.int8) - 1
+        factors = np.arange(K)
+        self.j_ids = orbit_labels(K, np.broadcast_to(factors, self.fm.shape),
+                                  self.fm).astype(np.int8)
+        self.j_orbits = np.count_nonzero(self.j_ids == factors, axis=1).astype(np.int8)
+
+
+@lru_cache(maxsize=None)
+def _pairing_table(K: int) -> _PairingTable:
+    return _PairingTable(K)
+
+
+@lru_cache(maxsize=None)
+def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarray:
+    """Free i-orbits of a keep/swap level, for every pairing of order sum(cycles).
+
+    The letters run around the trace ``cycles`` in turn; letter t takes the
+    arguments (i_t, i_next(t)) of its cycle and keeps or swaps their digits
+    as ``swaps[t]`` says.  The pair (t, f(t)) equates coordinate 0 of letter
+    t's image with coordinate 1 of letter f(t)'s, so it joins the variable
+    that each takes: one edge per letter, one graph per pairing, all of them
+    in one ``orbit_labels`` pass.  The level contributes radix^orbits, for
+    any M and radix, so the table (int8, one entry per pairing) is kept per
+    (cycles, swaps); there are at most 2^K swap patterns per cycle split.
+    """
+    fm = _pairing_table(sum(cycles)).fm
+    letters = np.arange(fm.shape[1])
+    starts = np.cumsum((0,) + cycles[:-1])
+    nxt = np.concatenate([np.roll(letters[a:a + c], -1) for a, c in zip(starts, cycles)])
+    swaps = np.array(swaps, dtype=bool)
+    coord0, coord1 = np.where(swaps, nxt, letters), np.where(swaps, letters, nxt)
+    labels = orbit_labels(len(letters), np.broadcast_to(coord0, fm.shape), coord1[fm])
+    orbits = np.count_nonzero(labels == letters, axis=1).astype(np.int8)
+    orbits.flags.writeable = False
+    return orbits
+
+
+def _keep_swap_orbits(levels, cycles):
+    """(radix, ``_level_orbits`` table) of each keep/swap level, and the mixed levels."""
+    tables = [(level[1], _level_orbits(cycles, level[2]))
+              for level in levels if type(level) is not MixedLevel]
+    return tables, [level for level in levels if type(level) is MixedLevel]
+
+
+def _row_count(P: int, table: _PairingTable, row: int, tables) -> int:
+    """P^(j-orbits) times radix^(free orbits) of each keep/swap level's
+    ``tables`` at one pairing's row."""
+    count = P ** int(table.j_orbits[row])
+    for radix, orbits in tables:
+        count *= radix ** int(orbits[row])
+    return count
+
+
+def _j_orbit_ids(pairing: Pairing) -> np.ndarray:
+    """Orbit id per factor under the relation t ~ s for each pair (t, s):
+    the pairing's row of its order's table; a pairing above the enumeration
+    cap gets one ``orbit_labels`` row of its own."""
+    if pairing.m > pts.MAX_PAIRING_ORDER:
+        f = np.array([pairing.factor_map()]) - 1
+        return orbit_labels(pairing.m, np.arange(pairing.m)[None, :], f)[0]
+    table = _pairing_table(pairing.m)
+    return table.j_ids[table.row[pairing.partner]]
 
 
 def _j_orbit_count(pairing: Pairing) -> int:
-    return len(set(_j_orbit_ids(pairing)))
+    return len(set(_j_orbit_ids(pairing).tolist()))
 
 
 def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
@@ -242,8 +306,17 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     else:
         levels, count_mixed = [MixedLevel(1, M, word.perms)], _count_by_enumeration
     check_budget(levels, m, budget)
-    n_i = _count_constrained_i(levels, pairs, _cyclic_arg_spec(m), count_mixed)
-    return P ** _j_orbit_count(pairing) * n_i
+    arg_spec = _cyclic_arg_spec(m)
+    if m > pts.MAX_PAIRING_ORDER:  # no table of this order: the pairing's own orbits
+        return P ** _j_orbit_count(pairing) * _count_constrained_i(levels, pairs, arg_spec,
+                                                                   count_mixed)
+    table = _pairing_table(m)
+    row = table.row[pairing.partner]
+    tables, mixed = _keep_swap_orbits(levels, (m,))
+    count = _row_count(P, table, row, tables)
+    if mixed:
+        count *= _count_constrained_i(mixed, pairs, arg_spec, count_mixed)
+    return count
 
 
 def _count_admissible_naive(pairing: Pairing, word: WickWord) -> int:
@@ -408,20 +481,21 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     perms = word1.perms + word2.perms
     levels = digit_levels(perms)
     check_budget(levels, K, budget)
+    table = _pairing_table(K)
+    # a pairing couples the cycles iff some factor of the first maps beyond it
+    rows = (np.flatnonzero((table.fm[:, :m] >= m).any(axis=1)) if connected_only
+            else np.arange(len(table.pairings)))
+    tables, mixed = _keep_swap_orbits(levels, (m, r))
     arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
     counter = SharedGridCounter()
     total = 0
-    for pi in enumerate_bipartite_pairings(K):
-        if connected_only and not _is_connected(pi, m):
-            continue
-        n_i = _count_constrained_i(levels, _factor_pairs(pi), arg_spec, counter)
-        total += P ** _j_orbit_count(pi) * n_i
+    for row in rows.tolist():
+        n = _row_count(P, table, row, tables)
+        if mixed:
+            n *= _count_constrained_i(mixed, _factor_pairs(table.pairings[row]), arg_spec,
+                                      counter)
+        total += n
     return Fraction(total, M**K)
-
-
-def _is_connected(pairing: Pairing, m: int) -> bool:
-    """True iff some position in [2m] is paired beyond 2m."""
-    return any(pairing(k) > 2 * m for k in range(1, 2 * m + 1))
 
 
 def connected_bipairings(m: int, r: int) -> list[pts.BiPairing]:

@@ -466,3 +466,26 @@ def test_structural_equality_and_hash():
     # structural inequality despite extensional equality
     assert PartialTranspose(4, 1) != Identity(4)
     assert pm.extensionally_equal(PartialTranspose(4, 1), Identity(4))
+
+
+def test_orbit_labels_match_union_find():
+    # many random graphs at once, plus a path numbered against its order,
+    # which needs the most hooking rounds; each node is labelled by the
+    # least node of its component
+    from ptlab.partitions import _UnionFind
+    rng = np.random.default_rng(9)
+    cases = [(n, rng.integers(0, n, (25, e)), rng.integers(0, n, (25, e)))
+             for n in (1, 2, 5, 9, 16) for e in (0, 1, 3, 8, 20)]
+    path = np.arange(15, 0, -1)
+    cases.append((16, path[None, :], path[None, :] - 1))
+    for n, u, v in cases:
+        labels = pm.orbit_labels(n, u, v)
+        assert labels.shape == (u.shape[0], n)
+        for g in range(u.shape[0]):
+            uf = _UnionFind(n)
+            for a, b in zip(u[g].tolist(), v[g].tolist()):
+                uf.union(a, b)
+            least = {}
+            for x in range(n):
+                least.setdefault(uf.find(x), x)
+            assert labels[g].tolist() == [least[uf.find(x)] for x in range(n)]

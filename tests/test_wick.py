@@ -399,8 +399,180 @@ def test_moment_and_covariance_share_one_grid_per_word():
     perms, spec = w.perms + w2.perms, wk._cyclic_arg_spec(3) + wk._cyclic_arg_spec(1, offset=3)
     full = sum(3 ** wk._j_orbit_count(pi)
                * enumerated_i_count(perms, M, wk._factor_pairs(pi), spec)
-               for pi in pts.enumerate_bipartite_pairings(4) if wk._is_connected(pi, 3))
+               for pi in pts.enumerate_bipartite_pairings(4)
+               if any(pi(k) > 6 for k in range(1, 7)))  # the pairs coupling the traces
     assert wk.exact_trace_covariance(w, w2) == Fraction(full, M**4)
+
+
+# ---------------------------------------------------------------------------
+# orbit tables against the i-grid enumeration
+# ---------------------------------------------------------------------------
+
+def cyclic_spec(cycles):
+    """Arguments of the letters of consecutive trace cycles."""
+    starts = itertools.accumulate((0,) + cycles[:-1])
+    return [a for c, start in zip(cycles, starts) for a in wk._cyclic_arg_spec(c, start)]
+
+
+def equality_bits(cache, M, cycles, t, s, p, q):
+    """The grid points of [M]^K where coordinate 0 of letter t's image (p)
+    equals coordinate 1 of letter s's (q), as a bitset; kept per key, since
+    many words share their letters at t and s."""
+    K = sum(cycles)
+    key = (M, cycles, t, s, p.key(), q.key())
+    if key not in cache:
+        if (M, K) not in cache:
+            cache[M, K] = next(pm._iter_var_grid(K, M))  # the whole grid: M^K <= _CHUNK
+        spec = cyclic_spec(cycles)
+        (image_t, _), (_, image_s) = pm._grid_images((p, q), cache[M, K], [spec[t], spec[s]])
+        cache[key] = int.from_bytes(np.packbits(image_t == image_s).tobytes(), "big")
+    return cache[key]
+
+
+def enumerated_table_counts(cache, perms, cycles):
+    """The i-count of every pairing of order K by enumerating [M]^K."""
+    M = perms[0].M
+    counts = []
+    for f in wk._pairing_table(len(perms)).fm.tolist():
+        bits = -1
+        for t, s in enumerate(f):
+            bits &= equality_bits(cache, M, cycles, t, s, perms[t], perms[s])
+        counts.append(bits.bit_count())
+    return counts
+
+
+def table_counts(perms, cycles):
+    """The i-count of every pairing from the orbit tables of a chain word's levels."""
+    counts = np.ones(math.factorial(len(perms)), dtype=np.int64)
+    for level in pm.digit_levels(perms):
+        assert not isinstance(level, pm.MixedLevel)
+        _, radix, swaps = level
+        counts *= radix ** wk._level_orbits(cycles, swaps).astype(np.int64)
+    return counts.tolist()
+
+
+def cycle_count(f):
+    """Cycles of the permutation f of [K] (0-based), walked one by one."""
+    seen, cycles = set(), 0
+    for start in range(len(f)):
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = f[start]
+    return cycles
+
+
+def test_orbit_tables_match_enumeration_exhaustive():
+    # every pairing of every word of up to four letters of the chain
+    # alphabets, around one trace cycle or two
+    cache = {}
+    cells = 0
+    for M, ds in ((4, (2,)), (8, (2, 4)), (12, (2, 4)), (12, (3, 6))):
+        alphabet = chain_letters(M, ds)
+        for K in range(1, 5):
+            splits = [(K,)] + [(m, K - m) for m in range(1, K)]
+            for perms in itertools.product(alphabet, repeat=K):
+                for cycles in splits:
+                    counts = table_counts(perms, cycles)
+                    assert counts == enumerated_table_counts(cache, perms, cycles), \
+                        (perms, cycles)
+                    cells += len(counts)
+    assert cells == 411158
+    # the bitset reference is the enumeration counter's count
+    rng = np.random.default_rng(4)
+    for M, ds in ((8, (2, 4)), (12, (3, 6))):
+        alphabet = chain_letters(M, ds)
+        for _ in range(4):
+            perms = tuple(alphabet[k] for k in rng.choice(len(alphabet), 3))
+            for pi, n in zip(pts.enumerate_bipartite_pairings(3),
+                             enumerated_table_counts(cache, perms, (1, 2))):
+                equalities = [((t - 1, 0), (s - 1, 1)) for t, s in wk._factor_pairs(pi)]
+                assert n == pm._count_by_enumeration(perms, M, cyclic_spec((1, 2)),
+                                                     equalities)
+
+
+def test_pairing_table_j_orbits_are_the_cycles_of_f():
+    for K in range(1, pts.MAX_PAIRING_ORDER + 1):
+        table = wk._pairing_table(K)
+        assert [p.partner for p in table.pairings] == \
+            [p.partner for p in pts.enumerate_bipartite_pairings(K)]
+        for row, f in enumerate(table.fm.tolist()):
+            assert table.j_orbits[row] == cycle_count(f)
+            assert all(table.j_ids[row][t] == table.j_ids[row][s] for t, s in enumerate(f))
+            assert table.j_orbits[row] == len(set(table.j_ids[row].tolist()))
+
+
+@st.composite
+def long_chain_word(draw):
+    M = draw(st.integers(1, 4))  # every divisor set of M <= 4 is a chain
+    ds = [d for d in range(1, M + 1) if M % d == 0]
+    perms = []
+    for _ in range(draw(st.integers(5, 6))):
+        kind = draw(st.sampled_from(["I", "T", "G", "LG"]))
+        if kind in ("G", "LG"):
+            d = draw(st.sampled_from(ds))
+            perms.append(PartialTranspose(M // d, d, Side.LEFT if kind == "LG" else Side.RIGHT))
+        else:
+            perms.append(Identity(M) if kind == "I" else Transpose(M))
+    return word(M, draw(st.integers(1, 3)), *perms)
+
+
+def enumerated_covariance(w1, w2):
+    """Cov(Tr, Tr) as the connected pairings' P^(cycles of f) times the
+    enumerated i-counts."""
+    m, K, (M, P) = w1.m, w1.m + w2.m, (w1.shape.M, w1.shape.P)
+    perms, spec = w1.perms + w2.perms, cyclic_spec((w1.m, w2.m))
+    total = 0
+    for pi in pts.enumerate_bipartite_pairings(K):
+        f = [s - 1 for s in pi.factor_map()]
+        if any(s >= m for s in f[:m]):
+            total += P ** cycle_count(f) * enumerated_i_count(perms, M, wk._factor_pairs(pi),
+                                                              spec)
+    return Fraction(total, M**K)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_chain_word())
+def test_long_chain_words_match_enumeration(w):
+    # the orbit tables of 5- and 6-letter words against the full i-grid, as
+    # a moment and, for six letters, as a 3 + 3 covariance
+    auto = wk.exact_mixed_moment(w)
+    assert auto.tuple_counts == wk.exact_mixed_moment(w, method="fast").tuple_counts
+    if w.m == 6:
+        w1, w2 = w.subword((1, 2, 3)), w.subword((4, 5, 6))
+        assert wk.exact_trace_covariance(w1, w2) == enumerated_covariance(w1, w2)
+
+
+def test_orbit_tables_are_kept_per_cycles_and_swaps():
+    # a 6-letter moment and a 3 + 3 covariance of the same letters share the
+    # swap vector of each level, not its orbit table; and nothing is kept on
+    # the word: freshly built words count the same
+    def letters():
+        return (PartialTranspose(2, 2), Transpose(4), Identity(4),
+                PartialTranspose(2, 2, Side.LEFT), PartialTranspose(2, 2), Transpose(4))
+
+    wk._level_orbits.cache_clear()
+    w = word(4, 2, *letters())
+    moment = wk.exact_mixed_moment(w)
+    assert moment.tuple_counts == wk.exact_mixed_moment(w, method="fast").tuple_counts
+    cov = wk.exact_trace_covariance(w.subword((1, 2, 3)), w.subword((4, 5, 6)))
+    assert cov == enumerated_covariance(w.subword((1, 2, 3)), w.subword((4, 5, 6)))
+    for _, _, swaps in pm.digit_levels(w.perms):
+        assert wk._level_orbits((6,), swaps) is not wk._level_orbits((3, 3), swaps)
+    fresh = word(4, 2, *letters())
+    assert wk.exact_mixed_moment(fresh).tuple_counts == moment.tuple_counts
+    assert wk.exact_trace_covariance(fresh.subword((1, 2, 3)), fresh.subword((4, 5, 6))) == cov
+
+
+def test_words_above_the_pairing_cap_count_their_own_orbits():
+    # nine letters have no pairing table; a lone pairing is still counted
+    rng = np.random.default_rng(9)
+    w = word(2, 2, *(Transpose(2) if k % 3 else Identity(2) for k in range(9)))
+    for _ in range(5):
+        f = rng.permutation(9) + 1
+        pi = pts.Pairing.from_pairs((2 * t - 1, 2 * int(s)) for t, s in enumerate(f, start=1))
+        assert wk.count_admissible(pi, w) == wk.count_admissible(pi, w, method="fast")
+        assert wk._j_orbit_count(pi) == cycle_count([int(s) - 1 for s in f])
 
 
 def test_budget_counts_the_points_enumerated():
