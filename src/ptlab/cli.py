@@ -10,17 +10,20 @@ bare integer), ``N``, ``N^2``, ``2^k`` (k = 1-based grid position), ``M/j``
 and ``inf``; the last two are resolved against the grid's M, which must be
 pinned by at least one fully concrete family.
 
+Each result command has one handler that returns its payload, and ``main``
+writes it; ``simulate`` is ``moment --mc``.  ``sweep`` runs its points in
+order through the same handlers and writes a row for every point: the
+command's payload, or an ``error`` cell for a point that fails, after which
+the exit code is 3 if some point was refused for its budget and 2 otherwise.
+
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
 3 resource refusal: a word over its length cap (6 letters for a moment or
 cumulant, 8 in all for a covariance), an enumeration over the budget, a
 table over the table cap or a ``limit`` order over its cap (the message
 carries the computed cost; a word of ``I``, ``T``, ``G`` and ``LG``
-enumerates only its mixed digit levels, and a divisor-chain word builds no
-grid and is never refused for its budget).  ``--force`` lifts the budget
-only.
-``sweep`` runs its points in order and writes a row for every point; a point
-that fails gets an ``error`` cell, and the exit code is then 3 if some point
-was refused for its budget and 2 otherwise.
+enumerates only its mixed digit levels, once per pairing, and a
+divisor-chain word builds no grid and is never refused for its budget).
+``--force`` lifts the budget only.
 """
 
 from __future__ import annotations
@@ -142,6 +145,8 @@ class _Expr:
         elif re.fullmatch(r"M/(\d+)", tok):
             self.kind = "Mdiv"
             self.j = int(tok.split("/")[1])
+            if self.j < 1:
+                raise ValueError(f"bad grid expression {tok!r}: division by zero")
         elif re.fullmatch(r"const:(\d+)", tok):
             self.kind = "const"
             self.j = int(tok.split(":")[1])
@@ -242,24 +247,23 @@ def _jsonable(x):
     return x
 
 
-def _emit(payload: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    out_path = getattr(args, "out", None)
+def _emit(payload: dict, fmt: str, path: str | None) -> None:
+    """Write the payload to ``path`` (None: stdout) as JSON, or as CSV: one
+    row, or its ``rows`` under the columns of all of them (a row without a
+    column gets an empty cell there)."""
     if fmt == "json":
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        rows = payload.get("rows")
-        if rows is None:
-            rows = [payload]
+        rows = payload.get("rows", [payload])
+        fields = list(dict.fromkeys(k for row in rows for k in row))
         buf = io.StringIO()
-        fields = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _csv_cell(v) for k, v in row.items()})
         text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -276,19 +280,11 @@ def _csv_cell(v):
     return v
 
 
-def _maybe_emit_config(args, params: dict) -> None:
-    path = getattr(args, "emit_config", None)
-    if path:
-        with open(path, "w") as fh:
-            json.dump(_jsonable(params), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each result command returns its payload
 # ---------------------------------------------------------------------------
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> dict:
     M = args.M
     a = parse_perm_literal(args.a, M)
     b = parse_perm_literal(args.b, M)
@@ -312,28 +308,26 @@ def _cmd_count(args) -> int:
             a, b, "second", "second", "share_second_slot")
         payload["c3_sharesecond"] = pm.count_projection_agreement(
             a, b, "first", "first", "share_second_slot")
-    _emit(payload, args)
-    return 0
+    return payload
 
 
 def _word_payload(args) -> tuple[wk.WickWord, dict]:
-    shape = MatrixShape(args.M, args.P)
-    perms = parse_word(args.word, args.M)
-    word = wk.WickWord(shape, perms)
-    base = {"M": args.M, "P": args.P, "word": args.word}
-    return word, base
+    word = wk.WickWord(MatrixShape(args.M, args.P), parse_word(args.word, args.M))
+    return word, {"word": args.word, "M": args.M, "P": args.P}
 
 
-def _cmd_moment(args) -> int:
+def _estimate(estimator, args, *words: wk.WickWord) -> dict:
+    rep = estimator(*words, mc.SamplerConfig(words[0].shape, args.samples, args.seed))
+    return {"samples": rep.samples, "seed": rep.seed, "mean": rep.mean,
+            "std_error": rep.std_error}
+
+
+def _cmd_moment(args) -> dict:
     word, payload = _word_payload(args)
-    budget = None if args.force else wk.DEFAULT_BUDGET
     if args.mc:
-        cfg = mc.SamplerConfig(word.shape, args.samples, args.seed)
-        rep = mc.mc_mixed_moment(word, cfg)
-        payload.update({"samples": rep.samples, "seed": rep.seed,
-                        "mean": rep.mean, "std_error": rep.std_error})
+        payload.update(_estimate(mc.mc_mixed_moment, args, word))
     else:
-        report = wk.exact_mixed_moment(word, budget=budget)
+        report = wk.exact_mixed_moment(word, budget=args.budget)
         payload["exact"] = report.total
         if args.breakdown:
             payload["breakdown"] = [
@@ -341,61 +335,43 @@ def _cmd_moment(args) -> int:
                  "value": report.per_pairing[p]}
                 for p in wk.enumerate_bipartite_pairings(word.m)
             ]
-    _maybe_emit_config(args, {"command": "moment", **payload})
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_cumulant(args) -> int:
+def _cmd_cumulant(args) -> dict:
     word, payload = _word_payload(args)
-    budget = None if args.force else wk.DEFAULT_BUDGET
     if args.mc:
-        cfg = mc.SamplerConfig(word.shape, args.samples, args.seed)
-        rep = mc.mc_mixed_cumulant(word, cfg)
-        payload.update({"samples": rep.samples, "seed": rep.seed,
-                        "mean": rep.mean, "std_error": rep.std_error})
+        payload.update(_estimate(mc.mc_mixed_cumulant, args, word))
     else:
-        payload["exact"] = wk.exact_mixed_cumulant(word, budget=budget)
-    _emit(payload, args)
-    return 0
+        payload["exact"] = wk.exact_mixed_cumulant(word, budget=args.budget)
+    return payload
 
 
-def _cmd_covariance(args) -> int:
+def _cmd_covariance(args) -> dict:
     shape = MatrixShape(args.M, args.P)
     w1 = wk.WickWord(shape, parse_word(args.word1, args.M))
     w2 = wk.WickWord(shape, parse_word(args.word2, args.M))
     payload = {"M": args.M, "P": args.P, "word1": args.word1, "word2": args.word2}
     if args.mc:
-        cfg = mc.SamplerConfig(shape, args.samples, args.seed)
-        rep = mc.mc_covariance(w1, w2, cfg)
-        payload.update({"samples": rep.samples, "seed": rep.seed,
-                        "mean": rep.mean, "std_error": rep.std_error})
+        payload.update(_estimate(mc.mc_covariance, args, w1, w2))
     else:
-        budget = None if args.force else wk.DEFAULT_BUDGET
-        payload["exact"] = wk.exact_trace_covariance(w1, w2, budget=budget)
-    _emit(payload, args)
-    return 0
+        payload["exact"] = wk.exact_trace_covariance(w1, w2, budget=args.budget)
+    return payload
 
 
-def _parse_limit_value(tok: str):
-    if tok == "inf":
-        return ay.INF
-    return int(tok)
-
-
-def _cmd_limit(args) -> int:
-    b = _parse_limit_value(args.b)
-    d = _parse_limit_value(args.d)
-    c = Fraction(args.c)
+def _cmd_limit(args) -> dict:
+    b, d = (ay.INF if tok == "inf" else int(tok) for tok in (args.b, args.d))
+    try:
+        c = Fraction(args.c)
+    except ZeroDivisionError:
+        raise ValueError(f"--c {args.c}: the denominator is 0") from None
     cumulants = [ay.limit_cumulant_gamma(m, b, d, c) for m in range(1, args.orders + 1)]
     moments = ay.limit_moments_gamma(args.orders, b, d, c)
-    payload = {"b": args.b, "d": args.d, "c": str(c), "orders": args.orders,
-               "cumulants": cumulants, "moments": moments}
-    _emit(payload, args)
-    return 0
+    return {"b": args.b, "d": args.d, "c": str(c), "orders": args.orders,
+            "cumulants": cumulants, "moments": moments}
 
 
-def _cmd_verdict(args) -> int:
+def _cmd_verdict(args) -> dict:
     grid = _parse_grid(args.grid)
     families = parse_families(args.family, grid)
     if len(families) == 1:
@@ -414,26 +390,22 @@ def _cmd_verdict(args) -> int:
                 "nonincreasing": probe["nonincreasing"],
             }
         pairs.append(entry)
-    payload = {"grid": grid, "families": [f.label for f in families],
-               "pairs": pairs, "overall_free": overall}
-    _emit(payload, args)
-    return 0
+    return {"grid": grid, "families": [f.label for f in families],
+            "pairs": pairs, "overall_free": overall}
 
 
-def _cmd_simulate(args) -> int:
-    word, payload = _word_payload(args)
-    cfg = mc.SamplerConfig(word.shape, args.samples, args.seed)
-    rep = mc.mc_mixed_moment(word, cfg)
-    row = {"word": args.word, "M": args.M, "P": args.P, "samples": rep.samples,
-           "seed": rep.seed, "mean": rep.mean, "std_error": rep.std_error}
-    _maybe_emit_config(args, {"command": "simulate", "M": args.M, "P": args.P,
-                              "word": args.word, "samples": args.samples,
-                              "seed": args.seed})
-    _emit({"rows": [row]} if args.format == "csv" else row, args)
-    return 0
+#: the handler of each sweep command and the string keys its points need
+_SWEEP_COMMANDS = {
+    "count": (_cmd_count, ("a", "b")),
+    "moment": (_cmd_moment, ("word",)),
+    "cumulant": (_cmd_cumulant, ("word",)),
+    "covariance": (_cmd_covariance, ("word1", "word2")),
+    "simulate": (_cmd_moment, ("word",)),
+}
 
 
 def _sweep_point(job: dict) -> dict:
+    """A sweep point's row: the command's own payload for the point's keys."""
     cmd = job["command"]
 
     def need(key, kind=str):
@@ -449,37 +421,16 @@ def _sweep_point(job: dict) -> dict:
 
     M = need("M", int)
     P = need("P", int) if "P" in job else M
-    shape = MatrixShape(M, P)
-    if cmd == "count":
-        a = parse_perm_literal(need("a"), M)
-        b = parse_perm_literal(need("b"), M)
-        return {"command": cmd, "M": M, "P": P, "a": job["a"], "b": job["b"],
-                "c": pm.count_agreements(a, b), "j": pm.count_joint(a, b),
-                "mean": "", "std_error": ""}
-    if cmd == "covariance":
-        w1 = wk.WickWord(shape, parse_word(need("word1"), M))
-        w2 = wk.WickWord(shape, parse_word(need("word2"), M))
-        if "samples" in job:
-            cfg = mc.SamplerConfig(shape, need("samples", int), need("seed", int))
-            rep = mc.mc_covariance(w1, w2, cfg)
-            return {"command": cmd, "M": M, "P": P, "word1": job["word1"],
-                    "word2": job["word2"], "samples": rep.samples, "seed": rep.seed,
-                    "mean": _csv_cell(rep.mean), "std_error": _csv_cell(rep.std_error)}
-        val = wk.exact_trace_covariance(w1, w2)
-        return {"command": cmd, "M": M, "P": P, "word1": job["word1"],
-                "word2": job["word2"], "exact": str(val), "mean": "", "std_error": ""}
-    if cmd not in ("moment", "simulate"):
+    if cmd not in _SWEEP_COMMANDS:
         raise ValueError(f"sweep does not support command {cmd!r}")
-    word = wk.WickWord(shape, parse_word(need("word"), M))
-    if cmd == "moment":
-        val = wk.exact_mixed_moment(word).total
-        return {"command": cmd, "M": M, "P": P, "word": job["word"],
-                "exact": str(val), "mean": "", "std_error": ""}
-    cfg = mc.SamplerConfig(shape, need("samples", int), need("seed", int))
-    rep = mc.mc_mixed_moment(word, cfg)
-    return {"command": cmd, "M": M, "P": P, "word": job["word"],
-            "samples": rep.samples, "seed": rep.seed,
-            "mean": _csv_cell(rep.mean), "std_error": _csv_cell(rep.std_error)}
+    fn, keys = _SWEEP_COMMANDS[cmd]
+    # simulate always samples; a covariance point samples when it has `samples`
+    sample = cmd == "simulate" or cmd == "covariance" and "samples" in job
+    args = argparse.Namespace(M=M, P=P, all=False, breakdown=False, budget=wk.DEFAULT_BUDGET,
+                              mc=sample, **{key: need(key) for key in keys})
+    if sample:
+        args.samples, args.seed = need("samples", int), need("seed", int)
+    return {"command": cmd, **fn(args)}
 
 
 #: job keys that identify a sweep point in the row of a point that failed
@@ -510,18 +461,7 @@ def _cmd_sweep(args) -> int:
                   file=sys.stderr)
             rows.append({"command": cmd, **{k: job[k] for k in _SWEEP_ID_KEYS if k in job},
                          "error": str(exc)})
-    fields = sorted({k for row in rows for k in row}, key=lambda k: (k != "command", k))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit({"rows": rows}, "csv", args.out)
     return code
 
 
@@ -546,6 +486,11 @@ def _cmd_selftest(args) -> int:
 def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _add_force_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--force", dest="budget", action="store_const", const=None,
+                   default=wk.DEFAULT_BUDGET, help="override the enumeration budget")
 
 
 def _add_mc_args(p: argparse.ArgumentParser) -> None:
@@ -573,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, required=True)
         p.add_argument("--P", type=int)
         p.add_argument("--word", required=True)
-        p.add_argument("--force", action="store_true", help="override the enumeration budget")
+        _add_force_arg(p)
         if name == "moment":
             p.add_argument("--breakdown", action="store_true", help="per-pairing decomposition")
-            p.add_argument("--emit-config", help="write the resolved parameters as JSON")
+            p.add_argument("--emit-config", help="also write the command and output as JSON")
         _add_mc_args(p)
         _add_output_args(p)
         p.set_defaults(fn=fn)
@@ -586,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=int)
     p.add_argument("--word1", required=True)
     p.add_argument("--word2", required=True)
-    p.add_argument("--force", action="store_true")
+    _add_force_arg(p)
     _add_mc_args(p)
     _add_output_args(p)
     p.set_defaults(fn=_cmd_covariance)
@@ -608,15 +553,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p)
     p.set_defaults(fn=_cmd_verdict)
 
-    p = sub.add_parser("simulate", help="Monte Carlo moment estimate (CSV-friendly)")
+    p = sub.add_parser("simulate", help="Monte Carlo moment estimate: moment --mc")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--P", type=int)
     p.add_argument("--word", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--emit-config", help="write the resolved parameters as JSON")
+    p.add_argument("--emit-config", help="also write the command and output as JSON")
     _add_output_args(p)
-    p.set_defaults(fn=_cmd_simulate)
+    p.set_defaults(fn=_cmd_moment, mc=True)
 
     p = sub.add_parser("sweep", help="run a JSON-configured grid of jobs to CSV")
     p.add_argument("--config", required=True)
@@ -645,7 +590,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        if isinstance(result, int):  # sweep and selftest: the exit code
+            return result
+        if getattr(args, "emit_config", None):
+            _emit({"command": args.command, **result}, "json", args.emit_config)
+        _emit(result, args.format, args.out)
+        return 0
     except ResourceLimitError as exc:
         print(f"resource refusal: {exc}", file=sys.stderr)
         return 3

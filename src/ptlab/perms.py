@@ -611,16 +611,19 @@ class SharedGridCounter:
         return int(np.count_nonzero(mask))
 
 
-def check_budget(levels, n_vars: int, budget: int | None) -> None:
-    """Refuse a count whose mixed levels' grids, radix^n_vars each and
-    enumerated one level at a time, sum past ``budget`` (None: no cap)."""
+def check_budget(levels, n_vars: int, budget: int | None, pairings: int = 1) -> None:
+    """Refuse counts whose mixed levels' grids, radix^n_vars each and
+    enumerated one level at a time, sum past ``budget`` (None: no cap) when
+    they are enumerated once for each of ``pairings`` pairings."""
     radices = [level.radix for level in levels if type(level) is MixedLevel]
     if radices and budget is not None:  # chains: nothing to check
-        cost = sum(r**n_vars for r in radices)
+        grid = sum(r**n_vars for r in radices)
+        cost = pairings * grid
         if cost > budget:
-            terms = " + ".join(f"{r}^{n_vars}" for r in radices)
-            raise ResourceLimitError(
-                f"enumeration cost {terms} = {cost} exceeds budget {budget}", cost)
+            terms = f"{' + '.join(f'{r}^{n_vars}' for r in radices)} = {grid}"
+            if pairings > 1:
+                terms = f"{pairings} pairings x ({terms}) = {cost}"
+            raise ResourceLimitError(f"enumeration cost {terms} exceeds budget {budget}", cost)
 
 
 def orbit_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -36,7 +36,8 @@ mask, up to ``perms.MAX_SHARED_GRID`` points.  Words of ``I``, ``T``,
 it, whatever M is; divisor-chain words have no mixed level and build no
 grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
 is one mixed level of radix M.  The enumeration budget applies to the
-sum of the mixed levels' grids, the points enumerated.  A moment's word has
+points enumerated: the sum of the mixed levels' grids, once for each
+pairing summed, checked before any count.  A moment's word has
 at most ``MAX_WORD_LEN`` = 6 letters; a covariance's two words together are
 held to the pairing enumeration's cap, ``partitions.MAX_PAIRING_ORDER`` = 8
 letters.  These caps and the table cap have no override.
@@ -289,23 +290,12 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     m = word.m
     if pairing.m != m:
         raise ValueError("pairing order does not match word length")
-    M, P = word.shape.M, word.shape.P
-    pairs = _factor_pairs(pairing)
-
-    if method == "naive":
-        cost = (M * P) ** m
-        if budget is not None and cost > budget:
-            raise ResourceLimitError(
-                f"naive enumeration cost (M*P)^m = {cost} exceeds budget {budget}", cost)
-        return _count_admissible_naive(pairing, word)
-
-    if method not in ("auto", "fast"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        levels, count_mixed = word.digit_levels, word.grid_counter
-    else:
-        levels, count_mixed = [MixedLevel(1, M, word.perms)], _count_by_enumeration
+    levels, count_mixed = _method_levels(word, method)
     check_budget(levels, m, budget)
+    if method == "naive":
+        return _count_admissible_naive(pairing, word)
+    P = word.shape.P
+    pairs = _factor_pairs(pairing)
     arg_spec = _cyclic_arg_spec(m)
     if m > pts.MAX_PAIRING_ORDER:  # no table of this order: the pairing's own orbits
         return P ** _j_orbit_count(pairing) * _count_constrained_i(levels, pairs, arg_spec,
@@ -317,6 +307,22 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     if mixed:
         count *= _count_constrained_i(mixed, pairs, arg_spec, count_mixed)
     return count
+
+
+def _method_levels(word: WickWord, method: str) -> tuple[list, object]:
+    """The levels a count by ``method`` walks, and its mixed-level counter.
+
+    "naive" enumerates the (i, j) grid: for the budget, one level of radix
+    M P with no counter.
+    """
+    M = word.shape.M
+    if method == "auto":
+        return word.digit_levels, word.grid_counter
+    if method == "fast":
+        return [MixedLevel(1, M, word.perms)], _count_by_enumeration
+    if method == "naive":
+        return [MixedLevel(1, M * word.shape.P, ())], None
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _count_admissible_naive(pairing: Pairing, word: WickWord) -> int:
@@ -344,7 +350,11 @@ def _count_admissible_naive(pairing: Pairing, word: WickWord) -> int:
 
 def exact_mixed_moment(word: WickWord, method: str = "auto",
                        budget: int | None = DEFAULT_BUDGET) -> RationalMomentReport:
-    """E tr(W^{sigma_1} ... W^{sigma_m}} as an exact rational, per pairing."""
+    """E tr(W^{sigma_1} ... W^{sigma_m}} as an exact rational, per pairing.
+
+    The m! pairings each count on the word's grids, so ``budget`` is checked
+    once, before any count, against m! times one pairing's cost.
+    """
     m = word.m
     if m > MAX_WORD_LEN:
         cost = math.factorial(m)
@@ -355,8 +365,10 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
     per: dict[Pairing, Fraction] = {}
     counts: dict[Pairing, int] = {}
     denom = M ** (m + 1)
-    for pi in enumerate_bipartite_pairings(m):
-        n = count_admissible(pi, word, method=method, budget=budget)
+    pairings = enumerate_bipartite_pairings(m)
+    check_budget(_method_levels(word, method)[0], m, budget, len(pairings))
+    for pi in pairings:
+        n = count_admissible(pi, word, method=method, budget=None)
         counts[pi] = n
         per[pi] = Fraction(n, denom)
     return RationalMomentReport(word=word, per_pairing=per, tuple_counts=counts)
@@ -471,7 +483,9 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
 
     Sums over the bipartite pairings of [2(m+r)], only those coupling the
     two cycles when ``connected_only``; more than
-    ``partitions.MAX_PAIRING_ORDER`` letters in all are refused.
+    ``partitions.MAX_PAIRING_ORDER`` letters in all are refused.  Each
+    pairing counts on the words' grids, so ``budget`` is checked once
+    against the number of pairings summed times one pairing's cost.
     """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
@@ -480,11 +494,11 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     M, P = word1.shape.M, word1.shape.P
     perms = word1.perms + word2.perms
     levels = digit_levels(perms)
-    check_budget(levels, K, budget)
     table = _pairing_table(K)
     # a pairing couples the cycles iff some factor of the first maps beyond it
     rows = (np.flatnonzero((table.fm[:, :m] >= m).any(axis=1)) if connected_only
             else np.arange(len(table.pairings)))
+    check_budget(levels, K, budget, len(rows))
     tables, mixed = _keep_swap_orbits(levels, (m, r))
     arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
     counter = SharedGridCounter()

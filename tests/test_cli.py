@@ -1,6 +1,9 @@
 import csv
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +179,11 @@ def test_exit_codes(capsys):
     assert "9! = 362880 pairings" in capsys.readouterr().err
     assert cli.main(["covariance", "--M", "4", "--word1", five, "--word2", "I,I,I"]) == 0
     capsys.readouterr()
+    # a zero denominator is a validation error, not a traceback
+    assert cli.main(["limit", "--b", "2", "--d", "2", "--c", "1/0"]) == 2
+    assert "--c 1/0" in capsys.readouterr().err
+    assert cli.main(["verdict", "--family", "G(N,N);G(M/0,2)", "--grid", "N=2,4"]) == 2
+    assert "'M/0'" in capsys.readouterr().err
 
 
 def test_non_chain_jobs_above_the_table_cap(capsys):
@@ -374,6 +382,59 @@ def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out_path)]) == 0
     row = next(csv.DictReader(out_path.open()))
     assert row["std_error"] == "" and row["mean"] == format(float(row["mean"]), ".17g")
+
+
+def as_cell(v):
+    """The CSV cell of a value of a command's JSON output."""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    if isinstance(v, (dict, list)):
+        return json.dumps(v, sort_keys=True)
+    return str(v)
+
+
+@pytest.mark.parametrize("cmd,keys,options", [
+    ("count", {"a": "G(2,M/2)", "b": "G(M/2,2)"}, ["--a", "G(2,M/2)", "--b", "G(M/2,2)"]),
+    ("moment", {"word": "G(2,M/2),T"}, ["--word", "G(2,M/2),T"]),
+    ("cumulant", {"word": "G(2,M/2),G(M/2,2)"}, ["--word", "G(2,M/2),G(M/2,2)"]),
+    ("covariance", {"word1": "G(2,M/2)", "word2": "T"}, ["--word1", "G(2,M/2)", "--word2", "T"]),
+    ("covariance", {"word1": "G(2,M/2)", "word2": "T", "samples": 40, "seed": 7},
+     ["--word1", "G(2,M/2)", "--word2", "T", "--mc", "--samples", "40", "--seed", "7"]),
+    ("simulate", {"word": "G(2,M/2),I", "samples": 40, "seed": 7},
+     ["--word", "G(2,M/2),I", "--samples", "40", "--seed", "7"]),
+])
+def test_sweep_rows_are_the_commands_own_output(tmp_path, capsys, cmd, keys, options):
+    grid = [{"M": 4}, {"M": 8}] if cmd == "count" else [{"M": 4}, {"M": 8, "P": 6}]
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"command": cmd, **keys, "grid": grid}))
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == len(grid)
+    for point, row in zip(grid, rows):
+        code, text, _ = run(capsys, cmd, *options,
+                            *(x for k, v in point.items() for x in (f"--{k}", str(v))))
+        assert code == 0
+        assert row == {"command": cmd, **{k: as_cell(v) for k, v in json.loads(text).items()}}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_simulate_prints_what_moment_mc_prints(capsys, fmt):
+    argv = ["--M", "8", "--P", "6", "--word", "G(2,4),T", "--samples", "64", "--seed", "5",
+            "--format", fmt]
+    code, simulated, _ = run(capsys, "simulate", *argv)
+    assert code == 0 and simulated
+    assert run(capsys, "moment", "--mc", *argv) == (0, simulated, "")
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.splitlines() if line.startswith("ptlab ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])  # exits on a bad line
 
 
 def test_selftest_subset(capsys):

@@ -576,8 +576,9 @@ def test_words_above_the_pairing_cap_count_their_own_orbits():
 
 
 def test_budget_counts_the_points_enumerated():
-    # two mixed levels of radix 6 enumerate 6^7 points each for a 4 + 3
-    # covariance: 2 * 6^7, not their product 36^7
+    # two mixed levels of radix 6 enumerate 6^7 points each for each of the
+    # 4896 connected pairings of a 4 + 3 covariance: 2 * 6^7 per pairing,
+    # not their product 36^7
     M = 72
     w1 = word(M, M, *(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES))
     w2 = word(M, M, *(Identity(M),) * 3)
@@ -585,7 +586,19 @@ def test_budget_counts_the_points_enumerated():
     pm.check_budget(levels, 7, 2 * 6**7)
     with pytest.raises(ResourceLimitError, match=r"6\^7 \+ 6\^7 = 559872") as info:
         wk.exact_trace_covariance(w1, w2, budget=2 * 6**7 - 1)
-    assert info.value.cost == 2 * 6**7
+    assert info.value.cost == 4896 * 2 * 6**7
+
+
+def test_moment_budget_counts_every_pairing():
+    # each of the 24 pairings of a 4-letter moment enumerates both 6^4 grids
+    M = 72
+    w = word(M, M, *(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES))
+    cost = 24 * 2 * 6**4
+    wk.exact_mixed_moment(w, budget=cost)
+    with pytest.raises(ResourceLimitError, match=r"^enumeration cost 24 pairings x "
+                       r"\(6\^4 \+ 6\^4 = 2592\) = 62208 exceeds budget 62207$") as info:
+        wk.exact_mixed_moment(w, budget=cost - 1)
+    assert info.value.cost == cost
 
 
 def test_chain_variance_closed_form_at_large_M():
