@@ -113,7 +113,12 @@ def parse_word(text: str, M: int) -> tuple[pm.EntryPermutation, ...]:
         else:
             cur.append(ch)
     parts.append("".join(cur))
-    return tuple(parse_perm_literal(p, M) for p in parts if p.strip())
+    if not text.strip():
+        return ()  # refused by WickWord as a word with no letter
+    for k, part in enumerate(parts, start=1):
+        if not part.strip():
+            raise ValueError(f"word {text!r}: letter {k} is empty")
+    return tuple(parse_perm_literal(p, M) for p in parts)
 
 
 # family grid expressions -----------------------------------------------------

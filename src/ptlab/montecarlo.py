@@ -40,7 +40,6 @@ from . import partitions as pts
 from .perms import EntryPermutation, MatrixShape, gather_indices
 from .wick import WickWord
 
-_MASK64 = (1 << 64) - 1
 #: matrix entries (M x max(M, P) per sample) the sampler works on per block;
 #: larger blocks ran no faster and raised the peak memory
 _BLOCK_ENTRIES = 1 << 12
@@ -55,6 +54,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} is outside [0, 2^64), the Philox key range")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class EstimateReport:
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -142,8 +143,8 @@ class _PhiloxReader:
         buffer: the state of a fresh ``_substream(seed, k)`` after ``start``
         uniforms.
         """
-        self.key[0] = seed & _MASK64
-        self.key[1] = k & _MASK64
+        self.key[0] = seed
+        self.key[1] = k
         self.counter[0] = start // 4
         self.bitgen.state = self.state
         self.gen.random(out=out)

@@ -166,34 +166,6 @@ def nu2(m: int) -> Pairing:
     return Pairing.from_pairs(pairs)
 
 
-class BiPairing(Pairing):
-    """A bipartite pairing of [a + b] that couples the two groups.
-
-    At least one position s <= a is paired beyond a, i.e. the pairing is not
-    a concatenation of separate pairings of [a] and of the remaining b spots.
-    """
-
-    def __init__(self, a: int, b: int, partner: Sequence[int]):
-        super().__init__(partner)
-        if a < 1 or b < 1 or a % 2 or b % 2 or a + b != 2 * self.m:
-            raise ValueError("group sizes must be even and sum to the pairing length")
-        if not any(self(k) > a for k in range(1, a + 1)):
-            raise ValueError("pairing decomposes over the two groups")
-        self.a = a
-        self.b = b
-
-
-def enumerate_connected_bipairings(a: int, b: int) -> list[BiPairing]:
-    """All bipartite pairings of [a + b] with at least one cross-group pair."""
-    if a % 2 or b % 2:
-        raise ValueError("group sizes must be even")
-    out = []
-    for p in enumerate_bipartite_pairings((a + b) // 2):
-        if any(p(k) > a for k in range(1, a + 1)):
-            out.append(BiPairing(a, b, p.partner))
-    return out
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))

@@ -28,8 +28,8 @@ equalities join, so the Wick oracle counts them for every pairing at once:
 ``orbit_labels`` finds the connected components of many small graphs in one
 numpy pass, and ``wick`` keeps one table of free-orbit counts per trace
 cycles and swap pattern.  A mixed level enumerates its radix^variables grid
-(the i-count; a ``SharedGridCounter`` evaluates it once for all the pairings
-of a word), or compares the image tables (c) or matches the rows of the
+(the i-count; ``count_pairing_rows`` counts every pairing of a word in one
+pass over it), or compares the image tables (c) or matches the rows of the
 value tables (triples) of its reduced pair, up to the table cap.  A word
 with a letter of another kind is one mixed level of radix M holding its
 original letters; divisor-chain words have no mixed level.
@@ -573,48 +573,51 @@ def _count_by_enumeration(perms, M: int, arg_spec, equalities) -> int:
                for _, mask in _constrained_chunks(perms, M, arg_spec, equalities))
 
 
-#: largest grid (points) whose equality masks a ``SharedGridCounter`` keeps
-MAX_SHARED_GRID = 1 << 18
+def count_pairing_rows(level: MixedLevel, arg_spec, fm: np.ndarray) -> np.ndarray:
+    """The count of a mixed level for every pairing row at once.
 
-
-class SharedGridCounter:
-    """A ``count_mixed`` for the many counts of one word, one per pairing.
-
-    The counts of a Wick moment or covariance share their letters, levels
-    and arguments and differ only in their image equalities.  For each mixed
-    level this evaluates the letters once on its radix^variables grid and
-    keeps the mask of each image equality the first time a count needs it;
-    a count then ANDs the masks of its equalities.  The result equals
-    ``_count_by_enumeration``.  A grid above ``MAX_SHARED_GRID`` points (up
-    to (2 * letters)^2 masks of one byte per point) is enumerated per count.
+    Row g of the factor maps ``fm`` (rows x K, 0-based) asks for the points
+    of the level's grid [radix]^variables at which image coordinate 0 of
+    each letter t equals coordinate 1 of letter fm[g, t]; ``arg_spec`` gives
+    the letters' variable arguments.  One pass over the grid, chunk by
+    chunk, packs each point's K x K agreement bits into one uint64 (bit
+    t K + s for coordinate 0 of t against coordinate 1 of s; K <= 8) and
+    keeps a histogram of the distinct masks.  A mask admits a row iff it
+    holds all of the row's bits (t, fm[g, t]); the masks x rows test runs
+    about ``_CHUNK`` cells at a time.  Returns one int64 count per row, each
+    equal to ``_count_by_enumeration`` of that row's equalities.
     """
-
-    def __init__(self):
-        self._grids: dict[tuple, tuple[list, dict]] = {}
-
-    def __call__(self, letters, radix: int, arg_spec, equalities) -> int:
-        n_vars = _n_vars(arg_spec)
-        points = radix**n_vars
-        if points > MAX_SHARED_GRID:
-            return _count_by_enumeration(letters, radix, arg_spec, equalities)
-        key = (tuple(letters), radix, tuple(arg_spec))
-        if key not in self._grids:
-            cols = next(_iter_var_grid(n_vars, radix))  # the whole grid, as points <= _CHUNK
-            self._grids[key] = (_grid_images(letters, cols, arg_spec), {})
-        images, masks = self._grids[key]
-        mask = np.ones(points, dtype=bool)
-        for eq in equalities:
-            if eq not in masks:
-                (t, x), (s, y) = eq
-                masks[eq] = np.broadcast_to(images[t][x] == images[s][y], (points,))
-            mask &= masks[eq]
-        return int(np.count_nonzero(mask))
+    _, radix, letters = level
+    K = len(letters)
+    shifts = np.arange(K * K, dtype=np.uint64).reshape(K, K)
+    masks, counts = [], []
+    for cols in _iter_var_grid(_n_vars(arg_spec), radix):
+        images = _grid_images(letters, cols, arg_spec)
+        mask = np.zeros(np.shape(cols[-1]), dtype=np.uint64)
+        for t in range(K):
+            for s in range(K):
+                mask |= (images[t][0] == images[s][1]).astype(np.uint64) << shifts[t, s]
+        chunk_masks, chunk_counts = np.unique(mask, return_counts=True)
+        masks.append(chunk_masks)
+        counts.append(chunk_counts)
+    masks, inverse = np.unique(np.concatenate(masks), return_inverse=True)
+    hist = np.zeros(len(masks), dtype=np.int64)
+    np.add.at(hist, inverse, np.concatenate(counts))
+    want = np.bitwise_or.reduce(np.uint64(1) << shifts[np.arange(K), fm], axis=1)
+    out = np.zeros(len(fm), dtype=np.int64)
+    step = max(1, _CHUNK // len(fm))
+    for a in range(0, len(masks), step):
+        out += hist[a:a + step] @ ((masks[a:a + step, None] & want) == want)
+    return out
 
 
 def check_budget(levels, n_vars: int, budget: int | None, pairings: int = 1) -> None:
     """Refuse counts whose mixed levels' grids, radix^n_vars each and
-    enumerated one level at a time, sum past ``budget`` (None: no cap) when
-    they are enumerated once for each of ``pairings`` pairings."""
+    enumerated one level at a time, sum past ``budget`` (None: no cap) once
+    for each of ``pairings`` pairings.  For the one pass of
+    ``count_pairing_rows`` that is an upper bound on its mask tests
+    (distinct masks, at most the points, times the pairings), on top of
+    walking the grid once."""
     radices = [level.radix for level in levels if type(level) is MixedLevel]
     if radices and budget is not None:  # chains: nothing to check
         grid = sum(r**n_vars for r in radices)

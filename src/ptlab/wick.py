@@ -27,17 +27,19 @@ and keeps the table (one int8 per pairing) per (cycles, swaps) for the
 process; the pairings and their j-orbits sit in one ``_PairingTable`` per
 order.  Pinned endpoints (``segment_sum``) and the "fast" method count on
 ``perms.count_on_digit_levels``, the counter the permutation statistics
-share.  A mixed level enumerates its radix^m grid, chunk by chunk, on the
-letters reduced to that radix, per pairing.  The pairings of one word share
-that grid: ``WickWord.grid_counter`` (and one ``perms.SharedGridCounter``
-per covariance) evaluates the letters once and keeps each image equality's
-mask, up to ``perms.MAX_SHARED_GRID`` points.  Words of ``I``, ``T``,
-``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
-it, whatever M is; divisor-chain words have no mixed level and build no
-grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
-is one mixed level of radix M.  The enumeration budget applies to the
-points enumerated: the sum of the mixed levels' grids, once for each
-pairing summed, checked before any count.  A moment's word has
+share.  A mixed level walks its radix^m grid once, chunk by chunk, on the
+letters reduced to that radix, and counts every pairing row from the
+histogram of its points' agreement masks (``perms.count_pairing_rows``): a
+word keeps the product over its mixed levels per row of its order's table
+(``WickWord.mixed_counts``, filled by the first pairing counted), and a
+covariance makes the pass over the rows it sums.  Words of ``I``, ``T``,
+``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g
+the lcm and gcd of the block sizes inside it, whatever M is; divisor-chain
+words have no mixed level and build no grid.  A word with a ``D(file)``,
+``P(file)``, composition or table letter is one mixed level of radix M.
+The enumeration budget charges the sum of the mixed levels' grids once for
+each pairing summed (an upper bound on the pass's mask tests), checked
+before any count.  A moment's word has
 at most ``MAX_WORD_LEN`` = 6 letters; a covariance's two words together are
 held to the pairing enumeration's cap, ``partitions.MAX_PAIRING_ORDER`` = 8
 letters.  These caps and the table cap have no override.
@@ -51,6 +53,7 @@ weight directly).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -65,12 +68,11 @@ from .perms import (
     MixedLevel,
     PartialTranspose,
     ResourceLimitError,
-    SharedGridCounter,
     Side,
     _constrained_chunks,
-    _count_by_enumeration,
     check_budget,
     count_on_digit_levels,
+    count_pairing_rows,
     digit_levels,
     orbit_labels,
 )
@@ -113,10 +115,11 @@ class WickWord:
         return digit_levels(self.perms)
 
     @cached_property
-    def grid_counter(self) -> SharedGridCounter:
-        """The mixed levels' grids and equality masks, shared by the counts
-        of every pairing of this word."""
-        return SharedGridCounter()
+    def mixed_counts(self) -> list[int]:
+        """The mixed levels' count of every row of ``_pairing_table(m)``,
+        one grid pass per level, shared by the counts of every pairing."""
+        mixed = [level for level in self.digit_levels if type(level) is MixedLevel]
+        return _mixed_row_counts(mixed, _cyclic_arg_spec(self.m), _pairing_table(self.m).fm)
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,15 @@ def _row_count(P: int, table: _PairingTable, row: int, tables) -> int:
     return count
 
 
+def _mixed_row_counts(mixed, arg_spec, fm) -> list[int]:
+    """Each row's count on the ``mixed`` levels: the product of their
+    ``perms.count_pairing_rows`` vectors, as Python ints."""
+    counts = [1] * len(fm)
+    for level in mixed:
+        counts = [a * b for a, b in zip(counts, count_pairing_rows(level, arg_spec, fm).tolist())]
+    return counts
+
+
 def _j_orbit_ids(pairing: Pairing) -> np.ndarray:
     """Orbit id per factor under the relation t ~ s for each pair (t, s):
     the pairing's row of its order's table; a pairing above the enumeration
@@ -259,16 +271,16 @@ def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
     return True
 
 
-def _count_constrained_i(levels, pairs, arg_spec, count_mixed=_count_by_enumeration) -> int:
+def _count_constrained_i(levels, pairs, arg_spec) -> int:
     """Number of assignments of the i-variables satisfying all l-equalities.
 
     Each l_t = l_-s is the equality of image coordinate 0 of letter t and
     coordinate 1 of letter s, counted by ``perms.count_on_digit_levels`` on
     the word's digit ``levels`` (one mixed level of radix M for the whole
-    i-grid), each mixed level by ``count_mixed``.
+    i-grid), each mixed level by enumeration.
     """
     return count_on_digit_levels(levels, arg_spec,
-                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs], count_mixed)
+                                 [((t - 1, 0), (s - 1, 1)) for t, s in pairs])
 
 
 def _cyclic_arg_spec(m: int, offset: int = 0) -> list:
@@ -283,45 +295,48 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     Methods: "auto" counts the i-tuples on the word's digit levels; "fast"
     enumerates the whole i-grid; both multiply by P^(number of j-orbits).
     "naive" enumerates the full (i, j) grid and tests the Wick weight
-    directly.  ``budget`` caps the grid points enumerated: the sum of
-    radix^m over the mixed levels for "auto" (0, and never refused, for a
-    divisor-chain word), M^m for "fast" and (M P)^m for "naive".
+    directly.  "auto" reads a mixed level's count from the word's
+    ``mixed_counts``, which the first count fills for all m! pairings, so
+    ``budget`` charges it m! times the sum of radix^m over the mixed levels
+    (0, and never refused, for a divisor-chain word).  "fast", "naive" and
+    "auto" above ``partitions.MAX_PAIRING_ORDER`` letters count the one
+    pairing and are charged M^m, (M P)^m and that sum.
     """
     m = word.m
     if pairing.m != m:
         raise ValueError("pairing order does not match word length")
-    levels, count_mixed = _method_levels(word, method)
-    check_budget(levels, m, budget)
+    levels = _method_levels(word, method)
+    per_pairing = method != "auto" or m > pts.MAX_PAIRING_ORDER
+    check_budget(levels, m, budget, 1 if per_pairing else math.factorial(m))
     if method == "naive":
         return _count_admissible_naive(pairing, word)
     P = word.shape.P
     pairs = _factor_pairs(pairing)
     arg_spec = _cyclic_arg_spec(m)
-    if m > pts.MAX_PAIRING_ORDER:  # no table of this order: the pairing's own orbits
-        return P ** _j_orbit_count(pairing) * _count_constrained_i(levels, pairs, arg_spec,
-                                                                   count_mixed)
+    if per_pairing:  # the whole i-grid, or no table of this order
+        return P ** _j_orbit_count(pairing) * _count_constrained_i(levels, pairs, arg_spec)
     table = _pairing_table(m)
     row = table.row[pairing.partner]
     tables, mixed = _keep_swap_orbits(levels, (m,))
     count = _row_count(P, table, row, tables)
     if mixed:
-        count *= _count_constrained_i(mixed, pairs, arg_spec, count_mixed)
+        count *= word.mixed_counts[row]
     return count
 
 
-def _method_levels(word: WickWord, method: str) -> tuple[list, object]:
-    """The levels a count by ``method`` walks, and its mixed-level counter.
+def _method_levels(word: WickWord, method: str) -> list:
+    """The levels a count by ``method`` walks.
 
     "naive" enumerates the (i, j) grid: for the budget, one level of radix
-    M P with no counter.
+    M P.
     """
     M = word.shape.M
     if method == "auto":
-        return word.digit_levels, word.grid_counter
+        return word.digit_levels
     if method == "fast":
-        return [MixedLevel(1, M, word.perms)], _count_by_enumeration
+        return [MixedLevel(1, M, word.perms)]
     if method == "naive":
-        return [MixedLevel(1, M * word.shape.P, ())], None
+        return [MixedLevel(1, M * word.shape.P, ())]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -352,8 +367,8 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
                        budget: int | None = DEFAULT_BUDGET) -> RationalMomentReport:
     """E tr(W^{sigma_1} ... W^{sigma_m}} as an exact rational, per pairing.
 
-    The m! pairings each count on the word's grids, so ``budget`` is checked
-    once, before any count, against m! times one pairing's cost.
+    The m! pairings share the word's ``mixed_counts``; ``budget`` is checked
+    once, before any count, against m! times the grids.
     """
     m = word.m
     if m > MAX_WORD_LEN:
@@ -366,7 +381,7 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
     counts: dict[Pairing, int] = {}
     denom = M ** (m + 1)
     pairings = enumerate_bipartite_pairings(m)
-    check_budget(_method_levels(word, method)[0], m, budget, len(pairings))
+    check_budget(_method_levels(word, method), m, budget, len(pairings))
     for pi in pairings:
         n = count_admissible(pi, word, method=method, budget=None)
         counts[pi] = n
@@ -477,6 +492,12 @@ def exact_trace_product_expectation(word1: WickWord, word2: WickWord) -> Fractio
     return _trace_pair_sum(word1, word2, DEFAULT_BUDGET, connected_only=False)
 
 
+def _connected_rows(m: int, r: int) -> np.ndarray:
+    """The rows of ``_pairing_table(m + r)`` whose pairings couple the two
+    trace cycles: some factor of the first maps beyond it."""
+    return np.flatnonzero((_pairing_table(m + r).fm[:, :m] >= m).any(axis=1))
+
+
 def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
                     connected_only: bool) -> Fraction:
     """M^-(m+r) times the admissible combined tuples of the two trace cycles.
@@ -484,8 +505,8 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     Sums over the bipartite pairings of [2(m+r)], only those coupling the
     two cycles when ``connected_only``; more than
     ``partitions.MAX_PAIRING_ORDER`` letters in all are refused.  Each
-    pairing counts on the words' grids, so ``budget`` is checked once
-    against the number of pairings summed times one pairing's cost.
+    mixed level makes one grid pass for all the rows summed, and ``budget``
+    is checked once against the number of rows times the grids.
     """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
@@ -495,26 +516,14 @@ def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
     perms = word1.perms + word2.perms
     levels = digit_levels(perms)
     table = _pairing_table(K)
-    # a pairing couples the cycles iff some factor of the first maps beyond it
-    rows = (np.flatnonzero((table.fm[:, :m] >= m).any(axis=1)) if connected_only
-            else np.arange(len(table.pairings)))
+    rows = _connected_rows(m, r) if connected_only else np.arange(len(table.pairings))
     check_budget(levels, K, budget, len(rows))
     tables, mixed = _keep_swap_orbits(levels, (m, r))
-    arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
-    counter = SharedGridCounter()
-    total = 0
-    for row in rows.tolist():
-        n = _row_count(P, table, row, tables)
-        if mixed:
-            n *= _count_constrained_i(mixed, _factor_pairs(table.pairings[row]), arg_spec,
-                                      counter)
-        total += n
-    return Fraction(total, M**K)
-
-
-def connected_bipairings(m: int, r: int) -> list[pts.BiPairing]:
-    """The bipartite pairings of [2(m+r)] that couple the two trace groups."""
-    return pts.enumerate_connected_bipairings(2 * m, 2 * r)
+    counts = [_row_count(P, table, row, tables) for row in rows.tolist()]
+    if mixed:
+        arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
+        counts = map(operator.mul, counts, _mixed_row_counts(mixed, arg_spec, table.fm[rows]))
+    return Fraction(sum(counts), M**K)
 
 
 # ---------------------------------------------------------------------------

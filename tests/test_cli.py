@@ -72,6 +72,25 @@ def test_parse_word():
     assert isinstance(perms[2], pm.Identity)
 
 
+def test_empty_letters_are_refused(tmp_path, capsys):
+    # an empty letter is refused with its position, not dropped from the word
+    code, out, err = run(capsys, "moment", "--M", "12", "--word", "G(4,3),,I,")
+    assert (code, out) == (2, "") and "'G(4,3),,I,': letter 2 is empty" in err
+    code, out, err = run(capsys, "covariance", "--M", "4", "--word1", "I", "--word2", "I, ")
+    assert (code, out) == (2, "") and "letter 2 is empty" in err
+    # a word with no letter at all keeps its message
+    code, _, err = run(capsys, "moment", "--M", "4", "--word", "")
+    assert code == 2 and "word must contain at least one permutation" in err
+    config = {"command": "moment", "grid": [{"M": 4, "word": ",I"}, {"M": 4, "word": "I"}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "letter 1 is empty" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert "letter 1 is empty" in rows[0]["error"] and rows[1]["exact"] == "1"
+
+
 def test_count_command(capsys):
     code, out, _ = run(capsys, "count", "--M", "12", "--a", "G(6,2)", "--b", "G(4,3)", "--all")
     assert code == 0
@@ -147,6 +166,24 @@ def test_mc_seed_required_for_mc_flag(capsys):
     assert code == 2
 
 
+def test_seeds_outside_the_philox_key_range_are_refused(tmp_path, capsys):
+    # the key holds 64 bits: -1 and 2^64 would alias 2^64 - 1 and 0
+    argv = ["moment", "--M", "8", "--word", "G(2,4)", "--mc", "--samples", "20"]
+    for seed in (-1, 2**64):
+        code, out, err = run(capsys, *argv, "--seed", str(seed))
+        assert (code, out) == (2, "") and f"seed {seed} is outside [0, 2^64)" in err
+    code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
+    assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
+    config = {"command": "simulate", "word": "I", "samples": 2,
+              "grid": [{"M": 2, "seed": -1}, {"M": 2, "seed": 0}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+    rows = list(csv.DictReader(out.open()))
+    assert "outside [0, 2^64)" in rows[0]["error"] and rows[1]["mean"]
+
+
 def test_single_sample_output_is_valid_json(capsys):
     # one sample has no standard error: it is written as null, never NaN
     for cmd, word in (("moment", "G(2,2)"), ("cumulant", "G(2,2),T")):
@@ -205,6 +242,25 @@ def test_budget_message_includes_cost(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert str(240**6) in err
+
+
+def test_readme_budget_refusal_is_what_the_cli_prints(capsys):
+    # README quotes this refusal to explain the cost model
+    message = "20 pairings x (240^4 = 3317760000) = 66355200000"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`{message}` for the covariance of" in " ".join(readme.split())
+    code, out, err = run(capsys, "covariance", "--M", "240", "--word1", "G(16,15),G(15,16)",
+                         "--word2", "I,I")
+    assert (code, out) == (3, "")
+    assert err == f"resource refusal: enumeration cost {message} exceeds budget {2**32}\n"
+
+
+def test_two_radix_6_levels_covariance(capsys):
+    # sizes {2, 3} and {12, 18} at M = 72: two mixed levels of 6^7 points,
+    # counted once each for the 4896 connected pairings
+    code, out, _ = run(capsys, "covariance", "--M", "72",
+                       "--word1", "G(36,2),G(24,3),G(6,12),G(4,18)", "--word2", "I,I,I")
+    assert code == 0 and json.loads(out)["exact"] == "14836477285/90699264"
 
 
 def test_verdict_command(capsys):

@@ -22,6 +22,15 @@ def test_config_validation():
         SamplerConfig(MatrixShape(4, 4), samples=0, seed=1)
 
 
+def test_seeds_outside_the_key_range_are_refused():
+    # Philox keys hold 64 bits: a seed outside [0, 2^64) would alias one inside
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\^64\)"):
+            SamplerConfig(MatrixShape(4, 4), samples=1, seed=seed)
+    for seed in (0, 2**64 - 1):
+        assert SamplerConfig(MatrixShape(4, 4), samples=1, seed=seed).seed == seed
+
+
 def test_polar_normals_moments():
     gen = mc._substream(123, 0)
     vals = mc.polar_normals(gen, 200000)
@@ -228,7 +237,7 @@ def _reference_ginibre(shape, gen):
 def test_block_path_matches_per_sample_draws(M, P):
     shape = MatrixShape(M, P)
     block = mc._block_samples(shape)
-    for seed in (0, -1, 2**63 + 5):
+    for seed in (0, 2**64 - 1, 2**63 + 5):
         Gs = [_reference_ginibre(shape, mc._substream(seed, k)) for k in range(block + 1)]
         assert all(mc.sample_ginibre(shape, mc._substream(seed, k)).tobytes() == G.tobytes()
                    for k, G in enumerate(Gs))
@@ -319,7 +328,7 @@ def test_rows_short_of_pairs_match_per_sample(n, rows):
 
 
 def test_candidates_read_the_round_of_a_fresh_generator():
-    for seed, batch, cols in ((0, 32, 32), (-1, 37, 20), (2**63 + 5, 1170, 555), (3, 190, 135)):
+    for seed, batch, cols in ((0, 32, 32), (2**64 - 1, 37, 20), (2**63 + 5, 1170, 555), (3, 190, 135)):
         block = mc._Substreams(seed, range(5, 9))
         u, v = block.candidates(batch, cols)
         for row in range(4):

@@ -141,14 +141,22 @@ def test_hat_embedding():
 
 
 def test_bipairing():
-    conn = pts.enumerate_connected_bipairings(2, 2)
-    assert [repr(p) for p in conn] == ["(1,4)(2,3)"]
-    assert len(pts.enumerate_connected_bipairings(4, 4)) == \
-        math.factorial(4) - math.factorial(2) * math.factorial(2)
-    with pytest.raises(ValueError):
-        pts.BiPairing(2, 2, (2, 1, 4, 3))  # decomposes over the groups
-    with pytest.raises(ValueError):
-        pts.enumerate_connected_bipairings(3, 2)
+    # a pairing of [2(m + r)] couples the two groups [2m] and its complement
+    # when it pairs some position of the first 2m beyond them: (m + r)! - m! r!
+    # of them; each other pairing is one of [2m] beside one of [2r], shifted
+    for m, r in ((1, 1), (2, 2), (1, 3), (3, 2)):
+        pairings = pts.enumerate_bipartite_pairings(m + r)
+        conn = [pi for pi in pairings if any(pi(a) > 2 * m for a in range(1, 2 * m + 1))]
+        assert len(conn) == math.factorial(m + r) - math.factorial(m) * math.factorial(r)
+        if (m, r) == (1, 1):
+            assert [repr(pi) for pi in conn] == ["(1,4)(2,3)"]
+        split = [(tuple(pi(a) for a in range(1, 2 * m + 1)),
+                  tuple(pi(a) - 2 * m for a in range(2 * m + 1, 2 * (m + r) + 1)))
+                 for pi in pairings if pi not in conn]
+        assert sorted(split) == sorted(
+            (tuple(s(a) for a in range(1, 2 * m + 1)), tuple(t(a) for a in range(1, 2 * r + 1)))
+            for s in pts.enumerate_bipartite_pairings(m)
+            for t in pts.enumerate_bipartite_pairings(r))
 
 
 def test_moment_cumulant_conversion():

@@ -357,12 +357,17 @@ def test_two_mixed_levels_match_enumeration():
                 assert_digit_path_exact(words[k], M, pairs, spec)
 
 
-@pytest.mark.parametrize("cap", [pm.MAX_SHARED_GRID, 100])
-def test_shared_grid_counter_matches_enumeration(monkeypatch, cap):
-    # one counter serves every pairing and argument pattern of a word, as in
-    # a moment or a covariance: each count equals its own enumeration, also
-    # where the grid is above the cap and enumerated per count
-    monkeypatch.setattr(pm, "MAX_SHARED_GRID", cap)
+def enumerated_row_counts(level, spec, fm, rows):
+    """``_count_by_enumeration`` of the mixed level for each of the ``rows``
+    of the factor maps ``fm``."""
+    return [pm._count_by_enumeration(level.letters, level.radix, spec,
+                                     [((t, 0), (s, 1)) for t, s in enumerate(fm[row])])
+            for row in rows]
+
+
+def test_pairing_row_counts_match_enumeration():
+    # one pass per mixed level gives every pairing row's count, around one
+    # trace cycle or two: each equals its own enumeration
     rng = np.random.default_rng(12)
     M = 12
     letters = chain_letters(M, (2, 3, 4, 6))
@@ -371,30 +376,63 @@ def test_shared_grid_counter_matches_enumeration(monkeypatch, cap):
         perms = (Identity(M),) * K
         while not has_mixed_level(perms):
             perms = tuple(letters[k] for k in rng.choice(len(letters), K))
-        cases.append((perms, digit_test_arg_specs(K, M) + [pinned_arg_spec(K, 2, 11)]))
-    # two mixed levels of radix 6 at M = 72, three variables each
-    cases.append(((PartialTranspose(36, 2), PartialTranspose(24, 3, Side.LEFT),
-                   PartialTranspose(6, 12), PartialTranspose(4, 18)),
-                  [pinned_arg_spec(4, 2, 44), pinned_arg_spec(4, 7, 7)]))
-    for perms, specs in cases:
-        K, M = len(perms), perms[0].M
-        counter = pm.SharedGridCounter()
-        levels = pm.digit_levels(perms)
-        for spec in specs:
-            for pi in pts.enumerate_bipartite_pairings(K):
-                pairs = wk._factor_pairs(pi)
-                assert wk._count_constrained_i(levels, pairs, spec, counter) == \
-                    enumerated_i_count(perms, M, pairs, spec), (perms, pairs, spec)
+        cases.append(perms)
+    # two mixed levels of radix 6 at M = 72
+    cases.append(tuple(PartialTranspose(72 // d, d, side) for d, side in
+                       zip(TWO_MIXED_SIZES, (Side.RIGHT, Side.LEFT, Side.RIGHT, Side.RIGHT))))
+    for perms in cases:
+        K = len(perms)
+        fm = wk._pairing_table(K).fm
+        for cycles in [(K,)] + [(m, K - m) for m in range(1, K)]:
+            spec = cyclic_spec(cycles)
+            for level in pm.digit_levels(perms):
+                if isinstance(level, pm.MixedLevel):
+                    assert pm.count_pairing_rows(level, spec, fm).tolist() == \
+                        enumerated_row_counts(level, spec, fm, range(len(fm))), (perms, cycles)
+    # the 4 + 3 covariance at M = 72: 6^7 points per level, a sample of rows
+    perms = tuple(PartialTranspose(72 // d, d) for d in TWO_MIXED_SIZES) + (Identity(72),) * 3
+    spec, fm = cyclic_spec((4, 3)), wk._pairing_table(7).fm
+    rows = wk._connected_rows(4, 3)
+    sample = rng.choice(len(rows), 12, replace=False)
+    for level in pm.digit_levels(perms):
+        if isinstance(level, pm.MixedLevel):
+            counts = pm.count_pairing_rows(level, spec, fm[rows])
+            assert counts[sample].tolist() == \
+                enumerated_row_counts(level, spec, fm, rows[sample])
 
 
-def test_moment_and_covariance_share_one_grid_per_word():
-    # the auto path evaluates a word's letters once for all its pairings, and
-    # agrees with the full-grid reference
+def test_pairing_row_counts_across_grid_chunks(monkeypatch):
+    # a grid walked in many chunks merges their mask histograms, and the
+    # masks are tested against the rows a few at a time
+    monkeypatch.setattr(pm, "_CHUNK", 50)
+    perms = (PartialTranspose(6, 2), PartialTranspose(4, 3, Side.LEFT), Transpose(12),
+             PartialTranspose(3, 4))
+    (level,) = [lv for lv in pm.digit_levels(perms) if isinstance(lv, pm.MixedLevel)]
+    fm = wk._pairing_table(4).fm
+    for cycles in ((4,), (2, 2)):
+        spec = cyclic_spec(cycles)
+        assert pm.count_pairing_rows(level, spec, fm).tolist() == \
+            enumerated_row_counts(level, spec, fm, range(24))
+
+
+def test_moment_and_covariance_share_one_grid_per_word(monkeypatch):
+    # the auto path makes one grid pass per mixed level of a word, the first
+    # time a pairing of the word is counted, and agrees with the full-grid
+    # reference
+    passes = []
+
+    def count_pairing_rows(level, *args):
+        passes.append(level)
+        return pm.count_pairing_rows(level, *args)
+
+    monkeypatch.setattr(wk, "count_pairing_rows", count_pairing_rows)
     M = 12
     w = word(M, 3, PartialTranspose(4, 3), PartialTranspose(3, 4), PartialTranspose(6, 2))
     auto, fast = (wk.exact_mixed_moment(w, method=m) for m in ("auto", "fast"))
     assert auto.tuple_counts == fast.tuple_counts
-    assert len(w.grid_counter._grids) == 1
+    assert len(passes) == 1 and len(w.mixed_counts) == 6
+    assert wk.exact_mixed_moment(w).tuple_counts == auto.tuple_counts
+    assert len(passes) == 1
     w2 = word(M, 3, PartialTranspose(4, 3, Side.LEFT))
     perms, spec = w.perms + w2.perms, wk._cyclic_arg_spec(3) + wk._cyclic_arg_spec(1, offset=3)
     full = sum(3 ** wk._j_orbit_count(pi)
@@ -402,6 +440,7 @@ def test_moment_and_covariance_share_one_grid_per_word():
                for pi in pts.enumerate_bipartite_pairings(4)
                if any(pi(k) > 6 for k in range(1, 7)))  # the pairs coupling the traces
     assert wk.exact_trace_covariance(w, w2) == Fraction(full, M**4)
+    assert len(passes) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +528,73 @@ def test_orbit_tables_match_enumeration_exhaustive():
                 equalities = [((t - 1, 0), (s - 1, 1)) for t, s in wk._factor_pairs(pi)]
                 assert n == pm._count_by_enumeration(perms, M, cyclic_spec((1, 2)),
                                                      equalities)
+
+
+def auto_row_counts(perms, cycles):
+    """The i-count of every pairing of order K as the Wick sums take it: the
+    keep/swap levels' orbit tables times the mixed levels' one pass."""
+    tables, mixed = wk._keep_swap_orbits(pm.digit_levels(perms), cycles)
+    table = wk._pairing_table(len(perms))
+    counts = wk._mixed_row_counts(mixed, cyclic_spec(cycles), table.fm)
+    return [wk._row_count(1, table, row, tables) * n for row, n in enumerate(counts)]
+
+
+def test_pairing_row_counts_match_enumeration_exhaustive():
+    # every pairing of every word of up to four letters with a mixed level,
+    # over the sizes {2, 3} at M = 6 and {3, 4} at M = 12, around one trace
+    # cycle or two, against a bitset enumeration of [M]^K
+    cache = {}
+    cells = 0
+    for M, ds in ((6, (2, 3)), (12, (3, 4))):
+        alphabet = chain_letters(M, ds)
+        for K in range(2, 5):
+            splits = [(K,)] + [(m, K - m) for m in range(1, K)]
+            for perms in filter(has_mixed_level, itertools.product(alphabet, repeat=K)):
+                for cycles in splits:
+                    counts = auto_row_counts(perms, cycles)
+                    assert counts == enumerated_table_counts(cache, perms, cycles), \
+                        (perms, cycles)
+                    cells += len(counts)
+    assert cells == 157120
+    # the bitset reference is the enumeration counter's count
+    rng = np.random.default_rng(5)
+    for M, ds in ((6, (2, 3)), (12, (3, 4))):
+        words = list(filter(has_mixed_level, itertools.product(chain_letters(M, ds), repeat=4)))
+        for k in rng.choice(len(words), 3, replace=False):
+            for cycles in ((4,), (1, 3), (2, 2)):
+                fm = wk._pairing_table(4).fm
+                level = pm.MixedLevel(1, M, words[k])
+                assert enumerated_table_counts(cache, words[k], cycles) == \
+                    enumerated_row_counts(level, cyclic_spec(cycles), fm, range(24))
+
+
+@st.composite
+def non_chain_covariance(draw):
+    ds = draw(st.sampled_from(NON_CHAIN_SIZES))
+    M = math.lcm(*ds) * draw(st.integers(1, 2))
+    K = draw(st.integers(2, 4 if M <= 12 else 3))
+    m = draw(st.integers(1, K - 1))
+    letters = chain_letters(M, ds)
+    perms = draw(st.lists(st.sampled_from(letters), min_size=K, max_size=K)
+                 .filter(has_mixed_level))
+    P = draw(st.integers(1, 3))
+    return word(M, P, *perms[:m]), word(M, P, *perms[m:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(non_chain_covariance())
+def test_pairing_row_counts_on_random_covariances(words):
+    # each mixed level's count of every connected row against its own
+    # enumeration, and the covariance against the enumerated connected sum
+    w1, w2 = words
+    perms, spec = w1.perms + w2.perms, cyclic_spec((w1.m, w2.m))
+    fm = wk._pairing_table(len(perms)).fm
+    rows = wk._connected_rows(w1.m, w2.m)
+    for level in pm.digit_levels(perms):
+        if isinstance(level, pm.MixedLevel):
+            assert pm.count_pairing_rows(level, spec, fm[rows]).tolist() == \
+                enumerated_row_counts(level, spec, fm, rows)
+    assert wk.exact_trace_covariance(w1, w2) == enumerated_covariance(w1, w2)
 
 
 def test_pairing_table_j_orbits_are_the_cycles_of_f():
@@ -599,6 +705,19 @@ def test_moment_budget_counts_every_pairing():
                        r"\(6\^4 \+ 6\^4 = 2592\) = 62208 exceeds budget 62207$") as info:
         wk.exact_mixed_moment(w, budget=cost - 1)
     assert info.value.cost == cost
+
+
+def test_lone_count_is_charged_as_a_moment():
+    # one auto count of a mixed word fills the counts of all 24 pairings
+    M = 72
+    w = word(M, M, *(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES))
+    pi = pts.enumerate_bipartite_pairings(4)[5]
+    with pytest.raises(ResourceLimitError, match=r"24 pairings x \(6\^4 \+ 6\^4"):
+        wk.count_admissible(pi, w, budget=24 * 2 * 6**4 - 1)
+    per_pairing = wk._count_constrained_i(w.digit_levels, wk._factor_pairs(pi),
+                                          wk._cyclic_arg_spec(4))
+    assert wk.count_admissible(pi, w, budget=24 * 2 * 6**4) == \
+        M ** wk._j_orbit_count(pi) * per_pairing
 
 
 def test_chain_variance_closed_form_at_large_M():
@@ -764,9 +883,19 @@ def test_trace_covariance_boundedness_grid():
     assert all(v > 0 for v in vals)
 
 
-def test_connected_bipairings():
-    assert len(wk.connected_bipairings(1, 1)) == 1
-    assert len(wk.connected_bipairings(2, 2)) == 24 - 4
+def test_connected_rows_couple_the_two_cycles():
+    # the rows a covariance sums are the pairings of [2(m + r)] that pair
+    # some position of the first trace's 2m with one beyond them: there are
+    # (m + r)! - m! r! of them
+    for K in range(2, pts.MAX_PAIRING_ORDER + 1):
+        pairings = pts.enumerate_bipartite_pairings(K)
+        for m in range(1, K):
+            rows = wk._connected_rows(m, K - m)
+            assert len(rows) == math.factorial(K) - math.factorial(m) * math.factorial(K - m)
+            assert rows.tolist() == [k for k, pi in enumerate(pairings)
+                                     if any(pi(a) > 2 * m for a in range(1, 2 * m + 1))]
+    table = wk._pairing_table(2)
+    assert [repr(table.pairings[k]) for k in wk._connected_rows(1, 1)] == ["(1,4)(2,3)"]
 
 
 def test_decomposition_identity_against_naive():
