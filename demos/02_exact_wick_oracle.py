@@ -34,8 +34,8 @@ word = WickWord(shape, (s, t))
 report = exact_mixed_moment(word)
 print(f"E tr(W^{s!r} W^{t!r}) at M = P = {M}:")
 for pairing in enumerate_bipartite_pairings(2):
-    print(f"  pairing {pairing!r}: {report.tuple_counts[pairing]:6d} tuples"
-          f"  ->  {report.per_pairing[pairing]}")
+    n = report.tuple_counts[pairing]
+    print(f"  pairing {pairing!r}: {n:6d} tuples  ->  {Fraction(n, M ** 3)}")
 print(f"  total = {report.total}\n")
 
 k2 = exact_mixed_cumulant(word)

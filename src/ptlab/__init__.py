@@ -28,7 +28,6 @@ from .perms import (
     random_symmetric_table,
 )
 from .partitions import (
-    NoncrossingPartition,
     Pairing,
     Partition,
     catalan,
@@ -50,7 +49,6 @@ from .wick import (
     RationalMomentReport,
     WickWord,
     count_admissible,
-    count_admissible_restricted,
     exact_mixed_cumulant,
     exact_mixed_moment,
     exact_trace_covariance,
@@ -61,10 +59,8 @@ from .wick import (
 from .asymptotics import (
     INF,
     ShapeFamily,
-    ThetaFamily,
     Verdict,
     empirical_density_probe,
-    induced_perm_verdict,
     limit_cumulant_gamma,
     limit_moments_gamma,
     verdict_family,
@@ -73,7 +69,6 @@ from .asymptotics import (
 from .montecarlo import (
     EstimateReport,
     SamplerConfig,
-    as_convergence_path,
     fit_variance_slope,
     mc_covariance,
     mc_mixed_cumulant,

@@ -8,9 +8,6 @@ Verdict rules:
           are asymptotically free iff L = lcm(d, d') / min(d, d') diverges.
 * LTR  -- a right and a left family are asymptotically free iff both cross
           products d * b' and b * d' diverge.
-* SN   -- a point-permutation family sigma(i, j) = (theta(i), theta(j)) is
-          free from the untransposed matrix iff the fixed-point density of
-          theta vanishes.
 * C49-density -- the empirical corroboration: the exact agreement density
           c(sigma_N, tau_N) / M_N^2 along the sampled grid.
 
@@ -157,7 +154,7 @@ class ShapeFamily:
 @dataclass(frozen=True)
 class Verdict:
     free: bool
-    rule: str  # W1 | LTR | C49-density | SN
+    rule: str  # W1 | LTR
     witness: object
     warning: str | None = None
 
@@ -246,35 +243,3 @@ def empirical_density_probe(f: ShapeFamily, g: ShapeFamily) -> dict:
     return {"rule": "C49-density", "densities": densities,
             "nonincreasing": nonincreasing,
             "first": densities[0], "last": densities[-1]}
-
-
-@dataclass(frozen=True)
-class ThetaFamily:
-    """A point-permutation family theta_N with its fixed-point counts."""
-
-    fixed_points: tuple[tuple[int, int], ...]  # (N, #fixed points of theta_N)
-    declared_density_zero: bool | None = None
-    label: str = ""
-
-    def densities(self) -> list[Fraction]:
-        return [Fraction(f, N) for (N, f) in self.fixed_points]
-
-
-def induced_perm_verdict(theta: ThetaFamily) -> Verdict:
-    """Freeness of W and W^sigma for sigma(i, j) = (theta(i), theta(j)).
-
-    Free iff the fixed-point density of theta tends to 0 -- declared when
-    available, otherwise corroborated from the sampled densities.
-    """
-    dens = theta.densities()
-    if theta.declared_density_zero is not None:
-        free = theta.declared_density_zero
-        return Verdict(free=free, rule="SN",
-                       witness={"densities": dens, "declared_zero": free})
-    if all(x == 0 for x in dens):
-        return Verdict(free=True, rule="SN", witness={"densities": dens})
-    trending = len(dens) >= 2 and dens[-1] < dens[0] and (dens[-1] <= dens[0] / 2)
-    if trending:
-        return Verdict(free=True, rule="SN", witness={"densities": dens},
-                       warning="corroboration weak: density limit not declared")
-    return Verdict(free=False, rule="SN", witness={"densities": dens})

@@ -21,7 +21,8 @@ Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
 cumulant, 8 in all for a covariance), an enumeration over the budget, a
 table over the table cap or a ``limit`` order over its cap (the message
 carries the computed cost; a word of ``I``, ``T``, ``G`` and ``LG``
-enumerates only its mixed digit levels, once per pairing, and a
+enumerates only its mixed digit levels, each level's grid once for all
+pairings, though the budget charges that grid once per pairing; a
 divisor-chain word builds no grid and is never refused for its budget).
 ``--force`` lifts the budget only.
 """
@@ -128,8 +129,8 @@ def _parse_grid(text: str) -> list[int]:
     if not m:
         raise ValueError(f"bad grid {text!r}; expected e.g. \"N=2,4,8,16\"")
     vals = [int(x) for x in m.group(1).split(",") if x.strip()]
-    if len(vals) < 1 or any(v < 1 for v in vals) or vals != sorted(vals):
-        raise ValueError("grid values must be ascending positive integers")
+    if len(vals) < 1 or vals[0] < 1 or any(a >= b for a, b in zip(vals, vals[1:])):
+        raise ValueError("grid values must be strictly ascending positive integers")
     return vals
 
 
@@ -335,10 +336,10 @@ def _cmd_moment(args) -> dict:
         report = wk.exact_mixed_moment(word, budget=args.budget)
         payload["exact"] = report.total
         if args.breakdown:
+            denom = word.shape.M ** (word.m + 1)
             payload["breakdown"] = [
-                {"pairing": repr(p), "count": report.tuple_counts[p],
-                 "value": report.per_pairing[p]}
-                for p in wk.enumerate_bipartite_pairings(word.m)
+                {"pairing": repr(p), "count": n, "value": Fraction(n, denom)}
+                for p, n in report.tuple_counts.items()
             ]
     return payload
 

@@ -375,7 +375,7 @@ def mc_mixed_cumulant(word: WickWord, config: SamplerConfig) -> EstimateReport:
 
 
 # ---------------------------------------------------------------------------
-# variance scaling probe and almost-sure convergence paths
+# variance scaling probe
 # ---------------------------------------------------------------------------
 
 def fit_variance_slope(Ms: Sequence[int], variances: Sequence[float]) -> dict:
@@ -426,17 +426,3 @@ def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: Sampler
     fit["variance_se"] = variance_se
     fit["Tr_variances"] = tr_variances  # unnormalized-trace variances
     return fit
-
-
-def as_convergence_path(jobs: Sequence[tuple[int, WickWord]], config: SamplerConfig) -> list[float]:
-    """Single-realization path: one draw per grid point from substream (seed, g).
-
-    Returns tr(word) along the grid for one simulated omega; rerunning with
-    the same seed reproduces the path bit-exactly.
-    """
-    path = []
-    reader = _PhiloxReader()
-    for g, (M, word) in enumerate(jobs):
-        Ws = _wishart_stack(word.shape, config.seed, range(g, g + 1), reader)
-        path.append(_WordEvaluator(word.perms, word.shape.M).traces(Ws)[0] / word.shape.M)
-    return path

@@ -45,15 +45,6 @@ class Partition:
         return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
 
 
-class NoncrossingPartition(Partition):
-    """A partition of [n] certified noncrossing at construction."""
-
-    def __init__(self, n, blocks):
-        super().__init__(n, blocks)
-        if is_crossing(self):
-            raise ValueError(f"partition is crossing: {self.blocks}")
-
-
 class Pairing:
     """A bipartite pair partition of [2m]: partner[k] = pi(k), 1-based.
 
@@ -110,18 +101,6 @@ class Pairing:
     def __repr__(self):
         ordered = sorted(tuple(sorted(p)) for p in self.pairs())
         return "".join(f"({a},{b})" for a, b in ordered)
-
-
-def parse_pairing(text: str) -> Pairing:
-    """Parse the serialized form ``(1,6)(2,3)(4,5)``."""
-    toks = text.replace(" ", "").strip()
-    if not (toks.startswith("(") and toks.endswith(")")):
-        raise ValueError(f"malformed pairing literal: {text!r}")
-    pairs = []
-    for part in toks[1:-1].split(")("):
-        a, b = part.split(",")
-        pairs.append((int(a), int(b)))
-    return Pairing.from_pairs(pairs)
 
 
 def enumerate_bipartite_pairings(m: int) -> list[Pairing]:
@@ -245,11 +224,11 @@ def cyclic_segments(p) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_nc(m: int) -> list[NoncrossingPartition]:
+def enumerate_nc(m: int) -> list[Partition]:
     """All noncrossing partitions of [m]; there are Catalan(m) of them."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return [NoncrossingPartition(m, blocks) for blocks in _nc_blocks(m)]
+    return [Partition(m, blocks) for blocks in _nc_blocks(m)]
 
 
 #: the largest order whose noncrossing partitions stay cached, the orders of

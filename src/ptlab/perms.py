@@ -548,29 +548,20 @@ def _grid_images(perms, cols, arg_spec) -> list:
     return [p.eval_arrays(resolve(a), resolve(b)) for p, (a, b) in zip(perms, arg_spec)]
 
 
-def _constrained_chunks(perms, M: int, arg_spec, equalities):
-    """Yield (cols, mask) per chunk of the grid [M]^variables.
-
-    ``cols`` holds the variable values (pinned scalars or arrays, see
-    ``_iter_var_grid``) and ``mask`` marks the grid points meeting every
-    image equality (see ``count_on_digit_levels`` for ``arg_spec`` and
-    ``equalities``).  With no variables (all arguments pinned) the mask is a
-    scalar.
-    """
+def _count_by_enumeration(perms, M: int, arg_spec, equalities) -> int:
+    """Assignments of the variables, over [M], meeting every image equality
+    (see ``count_on_digit_levels`` for ``arg_spec`` and ``equalities``), by
+    enumerating the grid chunk by chunk.  With no variables (all arguments
+    pinned) the chunk's mask is a scalar."""
+    count = 0
     for cols in _iter_var_grid(_n_vars(arg_spec), M):
         images = _grid_images(perms, cols, arg_spec)
         mask = None
         for (t, x), (s, y) in equalities:
             cond = images[t][x] == images[s][y]
             mask = cond if mask is None else (mask & cond)
-        yield cols, mask
-
-
-def _count_by_enumeration(perms, M: int, arg_spec, equalities) -> int:
-    """Assignments of the variables, over [M], meeting every image equality,
-    by enumerating the grid chunk by chunk."""
-    return sum(int(np.count_nonzero(mask))
-               for _, mask in _constrained_chunks(perms, M, arg_spec, equalities))
+        count += int(np.count_nonzero(mask))
+    return count
 
 
 def count_pairing_rows(level: MixedLevel, arg_spec, fm: np.ndarray) -> np.ndarray:

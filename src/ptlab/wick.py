@@ -69,7 +69,6 @@ from .perms import (
     PartialTranspose,
     ResourceLimitError,
     Side,
-    _constrained_chunks,
     check_budget,
     count_on_digit_levels,
     count_pairing_rows,
@@ -81,8 +80,6 @@ from .perms import (
 DEFAULT_BUDGET = 2**32
 #: cap on the length of a moment's word (pairing count grows like m!)
 MAX_WORD_LEN = 6
-#: cap on the admissible i-tuples ``count_admissible_restricted`` materializes
-MAX_RESTRICTED_TUPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -142,10 +139,10 @@ class IndexTuple:
 
 @dataclass
 class RationalMomentReport:
-    """Exact mixed moment with its per-pairing decomposition."""
+    """Exact mixed moment with its per-pairing decomposition: pairing pi
+    contributes ``tuple_counts[pi]`` / M^(m+1)."""
 
     word: WickWord
-    per_pairing: dict[Pairing, Fraction]
     tuple_counts: dict[Pairing, int]
     total: Fraction = field(init=False)
 
@@ -238,19 +235,15 @@ def _mixed_row_counts(mixed, arg_spec, fm) -> list[int]:
     return counts
 
 
-def _j_orbit_ids(pairing: Pairing) -> np.ndarray:
-    """Orbit id per factor under the relation t ~ s for each pair (t, s):
-    the pairing's row of its order's table; a pairing above the enumeration
-    cap gets one ``orbit_labels`` row of its own."""
+def _j_orbit_count(pairing: Pairing) -> int:
+    """Orbits of the factors under t ~ s for each pair (t, s): read from the
+    pairing's row of its order's table; a pairing above the enumeration cap
+    gets one ``orbit_labels`` row of its own."""
     if pairing.m > pts.MAX_PAIRING_ORDER:
         f = np.array([pairing.factor_map()]) - 1
-        return orbit_labels(pairing.m, np.arange(pairing.m)[None, :], f)[0]
+        return len(set(orbit_labels(pairing.m, np.arange(pairing.m)[None, :], f)[0].tolist()))
     table = _pairing_table(pairing.m)
-    return table.j_ids[table.row[pairing.partner]]
-
-
-def _j_orbit_count(pairing: Pairing) -> int:
-    return len(set(_j_orbit_ids(pairing).tolist()))
+    return int(table.j_orbits[table.row[pairing.partner]])
 
 
 def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
@@ -311,10 +304,9 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     if method == "naive":
         return _count_admissible_naive(pairing, word)
     P = word.shape.P
-    pairs = _factor_pairs(pairing)
-    arg_spec = _cyclic_arg_spec(m)
     if per_pairing:  # the whole i-grid, or no table of this order
-        return P ** _j_orbit_count(pairing) * _count_constrained_i(levels, pairs, arg_spec)
+        return P ** _j_orbit_count(pairing) * _count_constrained_i(
+            levels, _factor_pairs(pairing), _cyclic_arg_spec(m))
     table = _pairing_table(m)
     row = table.row[pairing.partner]
     tables, mixed = _keep_swap_orbits(levels, (m,))
@@ -365,7 +357,7 @@ def _count_admissible_naive(pairing: Pairing, word: WickWord) -> int:
 
 def exact_mixed_moment(word: WickWord, method: str = "auto",
                        budget: int | None = DEFAULT_BUDGET) -> RationalMomentReport:
-    """E tr(W^{sigma_1} ... W^{sigma_m}} as an exact rational, per pairing.
+    """E tr(W^{sigma_1} ... W^{sigma_m}) as an exact rational, per pairing.
 
     The m! pairings share the word's ``mixed_counts``; ``budget`` is checked
     once, before any count, against m! times the grids.
@@ -376,17 +368,10 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
         raise ResourceLimitError(
             f"{m} letters have {m}! = {cost} pairings, over the word-length cap of "
             f"{MAX_WORD_LEN} letters", cost)
-    M = word.shape.M
-    per: dict[Pairing, Fraction] = {}
-    counts: dict[Pairing, int] = {}
-    denom = M ** (m + 1)
     pairings = enumerate_bipartite_pairings(m)
     check_budget(_method_levels(word, method), m, budget, len(pairings))
-    for pi in pairings:
-        n = count_admissible(pi, word, method=method, budget=None)
-        counts[pi] = n
-        per[pi] = Fraction(n, denom)
-    return RationalMomentReport(word=word, per_pairing=per, tuple_counts=counts)
+    counts = {pi: count_admissible(pi, word, method=method, budget=None) for pi in pairings}
+    return RationalMomentReport(word=word, tuple_counts=counts)
 
 
 def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) -> Fraction:
@@ -400,76 +385,6 @@ def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) ->
         return cache[key]
 
     return pts.moments_to_free_cumulants(moment, word.perms)
-
-
-# ---------------------------------------------------------------------------
-# restricted (projected) tuple counts
-# ---------------------------------------------------------------------------
-
-def _valid_i_tuples(word: WickWord, pairing: Pairing) -> np.ndarray:
-    """All i-tuples satisfying the l-equalities, as an (N, m) array."""
-    m = word.m
-    M = word.shape.M
-    cost = M**m
-    if cost > DEFAULT_BUDGET:
-        raise ResourceLimitError(
-            f"i-grid cost M^m = {cost} exceeds budget {DEFAULT_BUDGET}", cost)
-    rows = []
-    count = 0
-    equalities = [((t - 1, 0), (s - 1, 1)) for t, s in _factor_pairs(pairing)]
-    for cols, mask in _constrained_chunks(word.perms, M, _cyclic_arg_spec(m), equalities):
-        # pinned scalars broadcast against the chunk instead of being copied
-        mask, *cols = np.broadcast_arrays(mask, *cols)
-        sel = np.stack([c[mask] for c in cols], axis=1)
-        count += sel.shape[0]
-        if count > MAX_RESTRICTED_TUPLES:
-            raise ResourceLimitError(
-                f"admissible i-tuple set exceeds the cap {MAX_RESTRICTED_TUPLES}", count)
-        rows.append(sel)
-    return np.concatenate(rows, axis=0) if rows else np.zeros((0, m), dtype=np.int64)
-
-
-def count_admissible_restricted(pairing: Pairing, word: WickWord, D) -> int:
-    """#A_{pi, sigmas}(D): distinct projections sigmas(u)[D] over admissible u.
-
-    The flat vector sigmas(u) = (l_1, j_1, j_-1, l_-1, ..., l_m, j_m, j_-m,
-    l_-m) is projected onto the component pairs selected by D, a subset of
-    [2m].  This counts projected images, which can be smaller than the number
-    of admissible tuples when D is proper.
-    """
-    m = word.m
-    D = sorted(set(int(x) for x in D))
-    if any(not 1 <= x <= 2 * m for x in D):
-        raise ValueError(f"D must be a subset of [1, {2 * m}]")
-    tuples = _valid_i_tuples(word, pairing)
-    if tuples.shape[0] == 0:
-        return 0
-    P = word.shape.P
-
-    # l-side projection: components of the selected pairs that come from l
-    l_cols = []
-    touched_factors = []
-    for dd in D:
-        k = (dd + 1) // 2
-        touched_factors.append(k)
-        l_cols.append((k, "l" if dd % 2 else "lm"))
-    if l_cols:
-        comp = []
-        for k, which in l_cols:
-            lk, lmk = word.perms[k - 1].eval_arrays(tuples[:, k - 1], tuples[:, k % m])
-            comp.append(lk if which == "l" else lmk)
-        l_proj = np.stack(comp, axis=1)
-        n_l = np.unique(l_proj, axis=0).shape[0]
-    else:
-        n_l = 1
-
-    # j-side projection: position 2k-1 contributes j_k, position 2k also j_k
-    # (j_-k = j_k); over orbit-constant assignments, distinct projections are
-    # free choices of the touched orbit values
-    orbit = _j_orbit_ids(pairing)
-    touched_orbits = {orbit[k - 1] for k in touched_factors}
-    n_j = P ** len(touched_orbits)
-    return n_l * n_j
 
 
 # ---------------------------------------------------------------------------

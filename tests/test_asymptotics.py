@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from ptlab import asymptotics as ay
 from ptlab import perms as pm
 from ptlab import wick as wk
-from ptlab.asymptotics import INF, ShapeFamily, ThetaFamily
+from ptlab.asymptotics import INF, ShapeFamily
 from ptlab.perms import MatrixShape, PartialTranspose, Side
 
 
@@ -145,18 +144,6 @@ def test_density_probe():
     G1M = fam(Side.RIGHT, 1, INF, [(1, N * N, N * N) for N in GRID])
     probe = ay.empirical_density_probe(GM1, G1M)
     assert probe["densities"] == [Fraction(1, N * N) for N in GRID]
-
-
-def test_induced_perm_verdict():
-    cyclic = ThetaFamily(tuple((N, 0) for N in (4, 8, 16, 32)))
-    assert ay.induced_perm_verdict(cyclic).free
-    ident = ThetaFamily(tuple((N, N) for N in (4, 8, 16, 32)))
-    v = ay.induced_perm_verdict(ident)
-    assert not v.free and v.rule == "SN"
-    sqrt_fam = ThetaFamily(tuple((N, math.isqrt(N)) for N in (16, 64, 256, 1024)))
-    assert ay.induced_perm_verdict(sqrt_fam).free
-    declared = ThetaFamily(((4, 2), (8, 2)), declared_density_zero=True)
-    assert ay.induced_perm_verdict(declared).free
 
 
 def test_verdict_consistency_with_exact_kappa2():

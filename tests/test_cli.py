@@ -221,6 +221,9 @@ def test_exit_codes(capsys):
     assert "--c 1/0" in capsys.readouterr().err
     assert cli.main(["verdict", "--family", "G(N,N);G(M/0,2)", "--grid", "N=2,4"]) == 2
     assert "'M/0'" in capsys.readouterr().err
+    # a repeated grid value gives no trend to read
+    assert cli.main(["verdict", "--family", "G(N,N);G(1,N^2)", "--grid", "N=4,4"]) == 2
+    assert "strictly ascending" in capsys.readouterr().err
 
 
 def test_non_chain_jobs_above_the_table_cap(capsys):

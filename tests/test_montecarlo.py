@@ -136,22 +136,6 @@ def test_variance_probe_plain_wishart_slope():
     assert -2.4 <= fit["slope"] <= -1.6
 
 
-def test_as_convergence_path():
-    grid = (8, 16, 32, 64, 128)
-    jobs = [(M, word(M, M, Identity(M))) for M in grid]
-    cfg = SamplerConfig(MatrixShape(8, 8), 1, 100)
-    p1 = mc.as_convergence_path(jobs, cfg)
-    p2 = mc.as_convergence_path(jobs, cfg)
-    assert p1 == p2
-    # 20-seed aggregate: the worst deviation from E tr W = 1 shrinks with M
-    maxdev = [0.0] * len(grid)
-    for seed in range(100, 120):
-        path = mc.as_convergence_path(jobs, SamplerConfig(MatrixShape(8, 8), 1, seed))
-        for g, v in enumerate(path):
-            maxdev[g] = max(maxdev[g], abs(v - 1.0))
-    assert maxdev[-1] < maxdev[0] / 4
-
-
 def test_pinned_bits():
     # float.hex of every estimator at one seed: a sampler or recursion change
     # that re-rolls a single bit fails here
@@ -196,12 +180,6 @@ def test_pinned_bits():
     assert fit["slope"].hex() == "-0x1.466625f10ce97p+1"
     assert [v.hex() for v in fit["variances"]] == [
         "0x1.01d4de433e968p+0", "0x1.62da3420170edp-3", "0x1.e122c057d8da3p-6"]
-
-    path_jobs = [(M, word(M, M // 2, PartialTranspose(2, M // 2))) for M in (4, 8, 16, 32)]
-    path = mc.as_convergence_path(path_jobs, SamplerConfig(MatrixShape(4, 2), 1, 2**63 + 5))
-    assert [v.hex() for v in path] == [
-        "0x1.19b35cad57150p-2", "0x1.5ccb26dd17422p-1",
-        "0x1.a762c7379e33bp-2", "0x1.0729adecb7252p-1"]
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,7 @@ def test_exact_moment_examples():
     assert wk.exact_mixed_moment(word(4, 4, Identity(4), Identity(4))).total == 2
     rep = wk.exact_mixed_moment(word(12, 12, PartialTranspose(6, 2), PartialTranspose(4, 3)))
     assert rep.total == Fraction(23, 18)
-    assert rep.total == sum(rep.per_pairing.values())
-    assert all(rep.per_pairing[p] == Fraction(rep.tuple_counts[p], 12**3)
-               for p in rep.per_pairing)
+    assert rep.total == sum(Fraction(n, 12**3) for n in rep.tuple_counts.values())
 
 
 def test_exact_cumulant_examples():
@@ -120,12 +118,13 @@ def test_method_agreement_and_budget():
 def test_report_total_is_computed_from_per_pairing():
     w = word(4, 3, PartialTranspose(2, 2), Transpose(4))
     report = wk.exact_mixed_moment(w)
-    assert report.total == sum(report.per_pairing.values()) == Fraction(15, 16)
+    assert report.total == sum(Fraction(n, 4**3) for n in report.tuple_counts.values()) == \
+        Fraction(15, 16)
     pi = pts.delta(1)
-    empty = wk.RationalMomentReport(word(4, 4, Identity(4)), {pi: Fraction(0)}, {pi: 0})
+    empty = wk.RationalMomentReport(word(4, 4, Identity(4)), {pi: 0})
     assert empty.total == 0
     with pytest.raises(TypeError):
-        wk.RationalMomentReport(w, report.per_pairing, report.tuple_counts, Fraction(0))
+        wk.RationalMomentReport(w, report.tuple_counts, Fraction(0))
 
 
 @st.composite
@@ -156,13 +155,11 @@ def small_word_and_pairing(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_word_and_pairing())
 def test_constraint_loop_consumers_agree(case):
-    # the chunked l-equality loop serves both the count and the tuple
-    # selection behind restricted counts; check each against enumeration
+    # the chunked l-equality loop and the digit levels against the (i, j) grid
     w, pi = case
     fast = wk.count_admissible(pi, w, method="fast")
     assert fast == wk.count_admissible(pi, w, method="naive")
     assert fast == wk.count_admissible(pi, w)
-    assert wk.count_admissible_restricted(pi, w, range(1, 2 * w.m + 1)) == fast
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +168,7 @@ def test_constraint_loop_consumers_agree(case):
 
 def enumerated_i_count(perms, M, pairs, arg_spec):
     equalities = [((t - 1, 0), (s - 1, 1)) for t, s in pairs]
-    return sum(int(np.count_nonzero(mask))
-               for _, mask in pm._constrained_chunks(perms, M, arg_spec, equalities))
+    return pm._count_by_enumeration(perms, M, arg_spec, equalities)
 
 
 def assert_digit_path_exact(perms, M, pairs, arg_spec):
@@ -727,78 +723,6 @@ def test_chain_variance_closed_form_at_large_M():
         w = word(M, M, PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2))
         assert wk.exact_trace_covariance(w, w) == \
             6 + Fraction(65, 2 * M) + Fraction(64, M * M)
-
-
-def test_restricted_counts_basics():
-    for m in (1, 2, 3):
-        for (M, P) in ((4, 4), (6, 5)):
-            perms = tuple(itertools.islice(itertools.cycle(
-                [Identity(M), Transpose(M)]), m))
-            w = word(M, P, *perms)
-            for pi in pts.enumerate_bipartite_pairings(m):
-                assert wk.count_admissible_restricted(pi, w, range(1, 2 * m + 1)) == \
-                    wk.count_admissible(pi, w)
-                assert wk.count_admissible_restricted(pi, w, []) == \
-                    (1 if wk.count_admissible(pi, w) else 0)
-    with pytest.raises(ValueError):
-        wk.count_admissible_restricted(pts.delta(2), word(4, 4, Identity(4), Identity(4)), [5])
-
-
-def brute_restricted(pi, w, D):
-    m, M, P = w.m, w.shape.M, w.shape.P
-    out = set()
-    for ii in itertools.product(range(1, M + 1), repeat=m):
-        for jj in itertools.product(range(1, P + 1), repeat=m):
-            if not wk.weight_support(pi, w, IndexTuple(ii, jj)):
-                continue
-            flat = []
-            for k in range(1, m + 1):
-                lk, lmk = w.perms[k - 1](ii[k - 1], ii[k % m])
-                flat += [lk, jj[k - 1], jj[k - 1], lmk]
-            out.add(tuple(x for dd in sorted(D) for x in (flat[2 * dd - 2], flat[2 * dd - 1])))
-    return len(out)
-
-
-def test_restricted_counts_against_brute_force():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = int(rng.integers(1, 4))
-        M = int(rng.integers(2, 5))
-        P = int(rng.integers(2, 5))
-        w = word(M, P, *(pm.random_symmetric_table(M, rng) for _ in range(m)))
-        pis = pts.enumerate_bipartite_pairings(m)
-        pi = pis[int(rng.integers(0, len(pis)))]
-        size = int(rng.integers(0, 2 * m + 1))
-        D = sorted(rng.choice(np.arange(1, 2 * m + 1), size=size, replace=False).tolist())
-        assert wk.count_admissible_restricted(pi, w, D) == brute_restricted(pi, w, D)
-
-
-def test_projection_growth_inequality():
-    rng = np.random.default_rng(11)
-    checked = 0
-    while checked < 30:
-        m = int(rng.integers(2, 5))
-        M = int(rng.integers(2, 7))
-        P = int(rng.integers(2, 7))
-        w = word(M, P, *(pm.random_symmetric_table(M, rng) for _ in range(m)))
-        pis = pts.enumerate_bipartite_pairings(m)
-        pi = pis[int(rng.integers(0, len(pis)))]
-        k = int(rng.integers(1, m + 1))
-        if 2 * k + 2 > 2 * m:
-            continue
-        B = {2 * k + 1, 2 * k + 2}
-        B |= {int(rng.integers(1, 2 * m + 1)) for _ in range(int(rng.integers(0, 2 * m)))}
-        # close under the pairing
-        while True:
-            closed = B | {pi(x) for x in B}
-            if closed == B:
-                break
-            B = closed
-        B1 = B | {2 * k - 1, 2 * k} | {pi(2 * k - 1), pi(2 * k)}
-        nB = wk.count_admissible_restricted(pi, w, B)
-        nB1 = wk.count_admissible_restricted(pi, w, B1)
-        assert nB1 <= nB * max(M, P) ** ((len(B1) - len(B)) // 2)
-        checked += 1
 
 
 def test_segment_sums():
