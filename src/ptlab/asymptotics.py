@@ -164,10 +164,15 @@ def _shared_grid(f: ShapeFamily, g: ShapeFamily) -> None:
         raise ValueError(f"families sample different M grids: {f.grid_M()} vs {g.grid_M()}")
 
 
-def _w1_verdict(d_f, d_g, samples_f, samples_g) -> Verdict:
-    """The lcm divergence rule on a pair of inner block size sequences."""
+def _w1_verdict(f: ShapeFamily, g: ShapeFamily) -> Verdict:
+    """The lcm divergence rule on a pair of inner block size sequences.
+
+    When both d-limits are infinite only the sampled trend decides, so a grid
+    of fewer than two values is refused.
+    """
+    d_f, d_g = f.d_limit, g.d_limit
     trend = [math.lcm(df, dg) // min(df, dg)
-             for (_, df, _), (_, dg, _) in zip(samples_f, samples_g)]
+             for (_, df, _), (_, dg, _) in zip(f.samples, g.samples)]
     if not is_infinite(d_f) and not is_infinite(d_g):
         L = math.lcm(d_f, d_g) // min(d_f, d_g)
         return Verdict(free=False, rule="W1",
@@ -180,7 +185,11 @@ def _w1_verdict(d_f, d_g, samples_f, samples_g) -> Verdict:
         return Verdict(free=True, rule="W1",
                        witness={"L_limit": "inf", "L_trend": trend}, warning=warning)
     # both infinite: only the sampled lcm trend can separate the cases
-    growing = len(trend) >= 2 and trend[-1] > trend[0]
+    if len(trend) < 2:
+        raise ValueError(
+            f"families {f.label or '?'} and {g.label or '?'} both have d -> inf, so their "
+            f"W1 verdict reads the sampled lcm trend, which needs at least two grid values")
+    growing = trend[-1] > trend[0]
     if not growing:
         return Verdict(free=False, rule="W1",
                        witness={"L_limit": "bounded (sampled)", "L_trend": trend})
@@ -200,11 +209,11 @@ def verdict_pair(f: ShapeFamily, g: ShapeFamily) -> Verdict:
     """Asymptotic freeness verdict for a pair of partial transpose families."""
     _shared_grid(f, g)
     if f.side is Side.RIGHT and g.side is Side.RIGHT:
-        return _w1_verdict(f.d_limit, g.d_limit, f.samples, g.samples)
+        return _w1_verdict(f, g)
     if f.side is Side.LEFT and g.side is Side.LEFT:
         # a global transpose turns both left families into right ones and
         # preserves asymptotic freeness
-        v = _w1_verdict(f.d_limit, g.d_limit, f.samples, g.samples)
+        v = _w1_verdict(f, g)
         witness = dict(v.witness)
         witness["via"] = "global transpose"
         return Verdict(v.free, v.rule, witness, v.warning)

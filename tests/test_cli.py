@@ -224,6 +224,9 @@ def test_exit_codes(capsys):
     # a repeated grid value gives no trend to read
     assert cli.main(["verdict", "--family", "G(N,N);G(1,N^2)", "--grid", "N=4,4"]) == 2
     assert "strictly ascending" in capsys.readouterr().err
+    # one grid value gives no trend for two families whose d both diverge
+    assert cli.main(["verdict", "--family", "G(N,N);G(1,N^2)", "--grid", "N=4"]) == 2
+    assert "G(N,N) and G(1,N^2)" in capsys.readouterr().err
 
 
 def test_non_chain_jobs_above_the_table_cap(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -110,13 +111,64 @@ def test_crossing_and_segments():
 
 
 def test_enumerate_nc_catalan_and_cap():
-    # every order up to 9, the highest the benchmark's warm-up builds
-    for m in range(0, 10):
+    # every order up to the cap
+    for m in range(0, pts.MAX_NC_ORDER + 1):
         ncs = pts.enumerate_nc(m)
         assert len(ncs) == len(set(ncs)) == pts.catalan(m)
         assert not any(pts.is_crossing(g) for g in ncs)
     with pytest.raises(ResourceLimitError):
-        pts.enumerate_nc(11)
+        pts.enumerate_nc(pts.MAX_NC_ORDER + 1)
+
+
+def restricted_growth_partitions(n):
+    """Every set partition of [n], from its restricted growth string."""
+    def strings(prefix, top):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for label in range(top + 2):
+            yield from strings(prefix + [label], max(top, label))
+
+    for labels in strings([], -1):
+        blocks = {}
+        for x, lab in enumerate(labels, start=1):
+            blocks.setdefault(lab, []).append(x)
+        yield Partition(n, blocks.values())
+
+
+def test_enumerate_nc_is_every_noncrossing_partition():
+    for m in range(0, 9):
+        brute = {g for g in restricted_growth_partitions(m) if not pts.is_crossing(g)}
+        assert set(pts.enumerate_nc(m)) == brute
+
+
+def test_nc_blocks_are_canonical_by_construction():
+    for m in range(0, pts.MAX_NC_ORDER + 1):
+        for blocks in pts._nc_blocks(m):
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+            assert all(list(b) == sorted(set(b)) for b in blocks)
+
+
+def test_nc_order_is_pinned():
+    # moments_to_free_cumulants subtracts in this order, so the Monte Carlo
+    # cumulants' float bits depend on it
+    for m, digest in ((6, "8d98b36cf2577dc4"), (9, "f8a93055ab5fc096"),
+                      (10, "8dd3e3e65ec05d02")):
+        got = hashlib.sha256(repr(pts._build_nc_blocks(m)).encode()).hexdigest()
+        assert got.startswith(digest), m
+
+
+def test_enumerate_nc_checks_the_cover(monkeypatch):
+    build = pts._nc_blocks
+
+    def drop_one(m, memo=None):
+        first, *rest = build(m, memo)
+        return (first[:-1] + (first[-1][:-1],), *rest)
+
+    monkeypatch.setattr(pts, "_nc_blocks", drop_one)
+    for m in (3, 9):
+        with pytest.raises(ValueError, match="do not partition"):
+            pts.enumerate_nc(m)
 
 
 def test_hat_embedding():

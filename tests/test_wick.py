@@ -411,6 +411,28 @@ def test_pairing_row_counts_across_grid_chunks(monkeypatch):
             enumerated_row_counts(level, spec, fm, range(24))
 
 
+def test_pairing_row_counts_match_an_unfiltered_histogram():
+    # the 4 + 3 covariance at M = 72 has two mixed levels of radix 6; the
+    # masks that miss a row or column of the K x K matrix are dropped before
+    # the masks x rows test, which changes no row's count
+    perms = tuple(PartialTranspose(72 // d, d) for d in TWO_MIXED_SIZES) + (Identity(72),) * 3
+    spec, fm = cyclic_spec((4, 3)), wk._pairing_table(7).fm
+    K = len(perms)
+    for level in pm.digit_levels(perms):
+        if not isinstance(level, pm.MixedLevel):
+            continue
+        grid = np.indices((level.radix,) * pm._n_vars(spec)).reshape(pm._n_vars(spec), -1) + 1
+        images = [p.eval_arrays(grid[a[1]], grid[b[1]]) for p, (a, b) in zip(level.letters, spec)]
+        mask = np.zeros(grid.shape[1], dtype=np.int64)
+        for t in range(K):
+            for s in range(K):
+                mask |= (images[t][0] == images[s][1]).astype(np.int64) << (t * K + s)
+        masks, hist = np.unique(mask, return_counts=True)
+        want = np.array([sum(1 << (t * K + int(s)) for t, s in enumerate(row)) for row in fm])
+        expected = [int(hist[(masks & w) == w].sum()) for w in want]
+        assert pm.count_pairing_rows(level, spec, fm).tolist() == expected
+
+
 def test_moment_and_covariance_share_one_grid_per_word(monkeypatch):
     # the auto path makes one grid pass per mixed level of a word, the first
     # time a pairing of the word is counted, and agrees with the full-grid
