@@ -45,14 +45,12 @@ from .partitions import (
     segments,
 )
 from .wick import (
-    IndexTuple,
     RationalMomentReport,
     WickWord,
     count_admissible,
     exact_mixed_cumulant,
     exact_mixed_moment,
     exact_trace_covariance,
-    exact_trace_product_expectation,
     segment_sum,
     weight_support,
 )

@@ -247,9 +247,6 @@ def _jsonable(x):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, ay.Verdict):
-        return _jsonable({"free": x.free, "rule": x.rule, "witness": x.witness,
-                          "warning": x.warning})
     return x
 
 

@@ -382,11 +382,12 @@ def fit_variance_slope(Ms: Sequence[int], variances: Sequence[float]) -> dict:
     """Least-squares slope of log variance against log M.
 
     Returns slope, intercept, per-point residuals and a ``degenerate`` flag
-    (set when any variance vanishes, in which case no fit is attempted).
+    (set when any variance is not positive, NaN included, in which case no
+    fit is attempted).
     """
     if len(Ms) != len(variances) or len(Ms) < 3:
         raise ValueError("need at least 3 grid points")
-    if any(v <= 0.0 for v in variances):
+    if not all(v > 0.0 for v in variances):
         return {"slope": float("nan"), "intercept": float("nan"),
                 "residuals": [], "degenerate": True}
     xs = np.log(np.asarray(Ms, dtype=float))
@@ -407,6 +408,8 @@ def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: Sampler
     """
     if len(jobs) < 3:
         raise ValueError("need a grid of at least 3 points")
+    if config.samples < 2:
+        raise ValueError("a variance requires samples >= 2")
     Ms, variances, variance_se, tr_variances = [], [], [], []
     for M, word in jobs:
         cfg = SamplerConfig(word.shape, config.samples, config.seed)

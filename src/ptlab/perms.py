@@ -89,7 +89,7 @@ def _check_grid_side(M: int) -> None:
 
 
 class EntryPermutation:
-    """A bijection of [M]^2.  Subclasses define the pointwise map.
+    """A bijection of [M]^2.  Subclasses define the map in ``eval_arrays``.
 
     Structured kinds evaluate in O(1) per lookup; only :class:`TablePermutation`
     stores the full M^2 image table.
@@ -100,7 +100,10 @@ class EntryPermutation:
     _symmetric_by_construction = False
 
     def __call__(self, i: int, j: int) -> tuple[int, int]:
-        raise NotImplementedError
+        """sigma(i, j) as Python ints: ``eval_arrays`` at the one point."""
+        self._check_point(i, j)
+        R, C = self.eval_arrays(np.int64(i), np.int64(j))
+        return int(R), int(C)
 
     def eval_arrays(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized evaluation on 1-based index arrays of equal shape."""
@@ -162,10 +165,6 @@ class Identity(EntryPermutation):
             raise ValueError("M must be >= 1")
         self.M = M
 
-    def __call__(self, i, j):
-        self._check_point(i, j)
-        return i, j
-
     def eval_arrays(self, X, Y):
         return X, Y
 
@@ -186,10 +185,6 @@ class Transpose(EntryPermutation):
         if M < 1:
             raise ValueError("M must be >= 1")
         self.M = M
-
-    def __call__(self, i, j):
-        self._check_point(i, j)
-        return j, i
 
     def eval_arrays(self, X, Y):
         return Y, X
@@ -226,6 +221,7 @@ class PartialTranspose(EntryPermutation):
         self.M = b * d
 
     def __call__(self, i, j):
+        # the paper's definition, kept next to the shift form of eval_arrays
         self._check_point(i, j)
         if self.side is Side.LEFT:
             i, j = j, i
@@ -267,10 +263,6 @@ class InducedDiagonal(EntryPermutation):
         self.theta = theta
         self.M = len(theta)
         self._arr = np.asarray(theta, dtype=np.int64)
-
-    def __call__(self, i, j):
-        self._check_point(i, j)
-        return self.theta[i - 1], self.theta[j - 1]
 
     def eval_arrays(self, X, Y):
         return self._arr[X - 1], self._arr[Y - 1]
@@ -316,10 +308,6 @@ class TablePermutation(EntryPermutation):
             C[i - 1, j - 1] = v
         return cls(R, C)
 
-    def __call__(self, i, j):
-        self._check_point(i, j)
-        return int(self._R[i - 1, j - 1]), int(self._C[i - 1, j - 1])
-
     def eval_arrays(self, X, Y):
         return self._R[X - 1, Y - 1], self._C[X - 1, Y - 1]
 
@@ -358,12 +346,6 @@ class Composition(EntryPermutation):
             raise ValueError("composition requires a common M")
         self.perms = perms
         self.M = M
-
-    def __call__(self, i, j):
-        self._check_point(i, j)
-        for p in reversed(self.perms):
-            i, j = p(i, j)
-        return i, j
 
     def eval_arrays(self, X, Y):
         for p in reversed(self.perms):
@@ -845,21 +827,19 @@ class LcmData:
     Q: int
     L: int
     ell: int
-    swapped: bool  # True when the inputs arrived as d > D and were reordered
 
 
 def gamma_lcm_data(d: int, D: int) -> LcmData:
     """Least-common-multiple data of two inner block sizes.
 
     >>> gamma_lcm_data(2, 3)
-    LcmData(Q=6, L=3, ell=2, swapped=False)
+    LcmData(Q=6, L=3, ell=2)
     """
     if d < 1 or D < 1:
         raise ValueError("block sizes must be positive")
-    swapped = d > D
-    lo, hi = (D, d) if swapped else (d, D)
+    lo, hi = sorted((d, D))
     Q = math.lcm(lo, hi)
-    return LcmData(Q=Q, L=Q // lo, ell=Q // hi, swapped=swapped)
+    return LcmData(Q=Q, L=Q // lo, ell=Q // hi)
 
 
 def all_partial_transposes(M: int, side: Side = Side.RIGHT) -> list[PartialTranspose]:

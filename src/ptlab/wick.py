@@ -27,15 +27,17 @@ and keeps the table (one int8 per pairing) per (cycles, swaps) for the
 process; the pairings and their j-orbits sit in one ``_PairingTable`` per
 order.  Pinned endpoints (``segment_sum``) and the "fast" method count on
 ``perms.count_on_digit_levels``, the counter the permutation statistics
-share.  A mixed level walks its radix^m grid once, chunk by chunk, on the
-letters reduced to that radix, and counts every pairing row from the
-histogram of its points' agreement masks (``perms.count_pairing_rows``): a
-word keeps the product over its mixed levels per row of its order's table
-(``WickWord.mixed_counts``, filled by the first pairing counted), and a
-covariance makes the pass over the rows it sums.  Words of ``I``, ``T``,
-``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g
-the lcm and gcd of the block sizes inside it, whatever M is; divisor-chain
-words have no mixed level and build no grid.  A word with a ``D(file)``,
+share, and read P's exponent from one ``orbit_labels`` row.  A mixed level
+walks its radix^m grid once, chunk by chunk, on the letters reduced to that
+radix, and counts every pairing row from the histogram of its points'
+agreement masks (``perms.count_pairing_rows``): a word keeps the product
+over its mixed levels per row of its order's table
+(``WickWord.mixed_counts``, filled by the first pairing counted), and
+``exact_trace_covariance``, the one sum over two trace cycles, makes the
+pass over the connected rows it sums.  Words of ``I``, ``T``, ``G(b, d)``
+and ``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g the lcm and gcd
+of the block sizes inside it, whatever M is; divisor-chain words have no
+mixed level and build no grid.  A word with a ``D(file)``,
 ``P(file)``, composition or table letter is one mixed level of radix M.
 The enumeration budget charges the sum of the mixed levels' grids once for
 each pairing summed (an upper bound on the pass's mask tests), checked
@@ -44,10 +46,12 @@ at most ``MAX_WORD_LEN`` = 6 letters; a covariance's two words together are
 held to the pairing enumeration's cap, ``partitions.MAX_PAIRING_ORDER`` = 8
 letters.  These caps and the table cap have no override.
 
-``count_admissible`` has three methods: "auto" (the digit levels), "fast"
-(the full i-grid as one mixed level of radix M; the reference the levels
-are checked against) and "naive" (the full (i, j) grid, testing the Wick
-weight directly).
+``count_admissible`` has three methods: "auto" (the digit levels; the only
+one the moments and the covariance use), and two references the levels are
+checked against: "fast" (the full i-grid as one mixed level of radix M) and
+"naive" (the i- and j-grids walked chunk by chunk, testing each Wick pair
+on the letters' images).  ``weight_support`` is the Wick weight of one
+tuple, by its definition.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from .perms import (
     PartialTranspose,
     ResourceLimitError,
     Side,
+    _iter_var_grid,
     check_budget,
     count_on_digit_levels,
     count_pairing_rows,
@@ -119,24 +124,6 @@ class WickWord:
         return _mixed_row_counts(mixed, _cyclic_arg_spec(self.m), _pairing_table(self.m).fm)
 
 
-@dataclass(frozen=True)
-class IndexTuple:
-    """Free coordinates (i_1..i_m, j_1..j_m) of a tuple in I(m).
-
-    The dependent coordinates are forced: i_{-k} = i_{k+1} (cyclically) and
-    j_{-k} = j_k.
-    """
-
-    i: tuple[int, ...]
-    j: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "i", tuple(self.i))
-        object.__setattr__(self, "j", tuple(self.j))
-        if len(self.i) != len(self.j):
-            raise ValueError("i and j must have equal length")
-
-
 @dataclass
 class RationalMomentReport:
     """Exact mixed moment with its per-pairing decomposition: pairing pi
@@ -165,19 +152,23 @@ class _PairingTable:
     """The bipartite pairings of one order K as arrays.
 
     ``fm[row]`` is the 0-based factor map of ``pairings[row]`` (int8, K! x K),
-    ``row`` maps a pairing's partner tuple to its row, and ``j_ids`` and
-    ``j_orbits`` give each factor's j-orbit (the least factor in it) and each
-    pairing's number of j-orbits, the orbits of t ~ f(t).
+    ``row`` maps a pairing's partner tuple to its row, and ``j_orbits`` gives
+    each pairing's number of j-orbits (``_j_orbits``).
     """
 
     def __init__(self, K: int):
         self.pairings = enumerate_bipartite_pairings(K)
         self.row = {p.partner: k for k, p in enumerate(self.pairings)}
         self.fm = np.array([p.factor_map() for p in self.pairings], dtype=np.int8) - 1
-        factors = np.arange(K)
-        self.j_ids = orbit_labels(K, np.broadcast_to(factors, self.fm.shape),
-                                  self.fm).astype(np.int8)
-        self.j_orbits = np.count_nonzero(self.j_ids == factors, axis=1).astype(np.int8)
+        self.j_orbits = _j_orbits(self.fm).astype(np.int8)
+
+
+def _j_orbits(fm: np.ndarray) -> np.ndarray:
+    """The orbits of the factors under t ~ f(t), for each row f of the
+    0-based factor maps ``fm``, from one ``orbit_labels`` pass."""
+    factors = np.arange(fm.shape[1])
+    labels = orbit_labels(fm.shape[1], np.broadcast_to(factors, fm.shape), fm)
+    return np.count_nonzero(labels == factors, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -236,32 +227,29 @@ def _mixed_row_counts(mixed, arg_spec, fm) -> list[int]:
 
 
 def _j_orbit_count(pairing: Pairing) -> int:
-    """Orbits of the factors under t ~ s for each pair (t, s): read from the
-    pairing's row of its order's table; a pairing above the enumeration cap
-    gets one ``orbit_labels`` row of its own."""
-    if pairing.m > pts.MAX_PAIRING_ORDER:
-        f = np.array([pairing.factor_map()]) - 1
-        return len(set(orbit_labels(pairing.m, np.arange(pairing.m)[None, :], f)[0].tolist()))
-    table = _pairing_table(pairing.m)
-    return int(table.j_orbits[table.row[pairing.partner]])
+    """Orbits of the factors under t ~ s for each pair (t, s), the exponent
+    of P: one ``orbit_labels`` row of the pairing's factor map, for a count
+    of one pairing at any order (no pairing table is built)."""
+    return int(_j_orbits(np.array([pairing.factor_map()]) - 1)[0])
 
 
-def weight_support(pairing: Pairing, word: WickWord, u: IndexTuple) -> bool:
-    """Whether the Wick weight v(pi, sigmas, u) is nonzero (v = M^-m if so)."""
+def weight_support(pairing: Pairing, word: WickWord, i: tuple[int, ...],
+                   j: tuple[int, ...]) -> bool:
+    """Whether the Wick weight v(pi, sigmas, (i, j)) is nonzero (v = M^-m if so).
+
+    ``i`` = (i_1..i_m) in [M]^m and ``j`` = (j_1..j_m) in [P]^m are the free
+    coordinates; the dependent ones are forced, i_{-k} = i_{k+1}
+    (cyclically) and j_{-k} = j_k.  Each letter is evaluated pointwise.
+    """
     m = word.m
-    if pairing.m != m or len(u.i) != m:
+    if pairing.m != m or len(i) != m or len(j) != m:
         raise ValueError("pairing / tuple length does not match the word")
     M, P = word.shape.M, word.shape.P
-    if any(not 1 <= x <= M for x in u.i) or any(not 1 <= x <= P for x in u.j):
+    if any(not 1 <= x <= M for x in i) or any(not 1 <= x <= P for x in j):
         raise ValueError("index tuple out of range for the word shape")
-    l = [None] * (m + 1)
-    lm = [None] * (m + 1)
-    for k in range(1, m + 1):
-        l[k], lm[k] = word.perms[k - 1](u.i[k - 1], u.i[k % m])
-    for t, s in _factor_pairs(pairing):
-        if l[t] != lm[s] or u.j[t - 1] != u.j[s - 1]:
-            return False
-    return True
+    images = [p(i[k], i[(k + 1) % m]) for k, p in enumerate(word.perms)]
+    return all(images[t - 1][0] == images[s - 1][1] and j[t - 1] == j[s - 1]
+               for t, s in _factor_pairs(pairing))
 
 
 def _count_constrained_i(levels, pairs, arg_spec) -> int:
@@ -287,13 +275,15 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
 
     Methods: "auto" counts the i-tuples on the word's digit levels; "fast"
     enumerates the whole i-grid; both multiply by P^(number of j-orbits).
-    "naive" enumerates the full (i, j) grid and tests the Wick weight
-    directly.  "auto" reads a mixed level's count from the word's
-    ``mixed_counts``, which the first count fills for all m! pairings, so
-    ``budget`` charges it m! times the sum of radix^m over the mixed levels
-    (0, and never refused, for a divisor-chain word).  "fast", "naive" and
-    "auto" above ``partitions.MAX_PAIRING_ORDER`` letters count the one
-    pairing and are charged M^m, (M P)^m and that sum.
+    "naive" walks the i-grid and the j-grid chunk by chunk and tests every
+    Wick pair on them directly.  "auto" reads the row of its order's pairing
+    table and a mixed level's count from the word's ``mixed_counts``, which
+    the first count fills for all m! pairings, so ``budget`` charges it m!
+    times the sum of radix^m over the mixed levels (0, and never refused,
+    for a divisor-chain word).  "fast", "naive" and "auto" above
+    ``partitions.MAX_PAIRING_ORDER`` letters count the one pairing, take
+    its j-orbits from ``_j_orbit_count`` and are charged M^m, (M P)^m and
+    that sum.
     """
     m = word.m
     if pairing.m != m:
@@ -317,11 +307,8 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
 
 
 def _method_levels(word: WickWord, method: str) -> list:
-    """The levels a count by ``method`` walks.
-
-    "naive" enumerates the (i, j) grid: for the budget, one level of radix
-    M P.
-    """
+    """The levels a count by ``method`` walks; for the budget, "naive"'s
+    (i, j) grid is one level of radix M P."""
     M = word.shape.M
     if method == "auto":
         return word.digit_levels
@@ -333,29 +320,29 @@ def _method_levels(word: WickWord, method: str) -> list:
 
 
 def _count_admissible_naive(pairing: Pairing, word: WickWord) -> int:
-    """Direct enumeration of I(m) testing every Wick pair constraint."""
+    """Direct enumeration of I(m) testing every Wick pair constraint, on the
+    letters' images for l_t = l_-s and on the j-values for j_t = j_s.  The
+    weight factors over disjoint (i, j) coordinates, so the joint count is
+    the product of the i-count and the j-count, each grid walked in
+    ``_iter_var_grid`` chunks."""
     m = word.m
-    M, P = word.shape.M, word.shape.P
     pairs = _factor_pairs(pairing)
-    total = 0
-    i_grid = np.indices((M,) * m).reshape(m, -1) + 1
-    j_grid = np.indices((P,) * m).reshape(m, -1) + 1
-    ls, lms = [], []
-    for k in range(1, m + 1):
-        lk, lmk = word.perms[k - 1].eval_arrays(i_grid[k - 1], i_grid[k % m])
-        ls.append(lk)
-        lms.append(lmk)
-    i_mask = np.ones(i_grid.shape[1], dtype=bool)
-    j_mask = np.ones(j_grid.shape[1], dtype=bool)
-    for t, s in pairs:
-        i_mask &= ls[t - 1] == lms[s - 1]
-        j_mask &= j_grid[t - 1] == j_grid[s - 1]
-    # the weight factors over disjoint (i, j) coordinates, so the joint count
-    # is the product of the two masked counts
-    return int(np.count_nonzero(i_mask)) * int(np.count_nonzero(j_mask))
+    n_i = n_j = 0
+    for cols in _iter_var_grid(m, word.shape.M):
+        images = [p.eval_arrays(cols[k], cols[(k + 1) % m]) for k, p in enumerate(word.perms)]
+        mask = np.ones(np.shape(cols[-1]), dtype=bool)
+        for t, s in pairs:
+            mask &= images[t - 1][0] == images[s - 1][1]
+        n_i += int(np.count_nonzero(mask))
+    for cols in _iter_var_grid(m, word.shape.P):
+        mask = np.ones(np.shape(cols[-1]), dtype=bool)
+        for t, s in pairs:
+            mask &= cols[t - 1] == cols[s - 1]
+        n_j += int(np.count_nonzero(mask))
+    return n_i * n_j
 
 
-def exact_mixed_moment(word: WickWord, method: str = "auto",
+def exact_mixed_moment(word: WickWord,
                        budget: int | None = DEFAULT_BUDGET) -> RationalMomentReport:
     """E tr(W^{sigma_1} ... W^{sigma_m}) as an exact rational, per pairing.
 
@@ -369,8 +356,8 @@ def exact_mixed_moment(word: WickWord, method: str = "auto",
             f"{m} letters have {m}! = {cost} pairings, over the word-length cap of "
             f"{MAX_WORD_LEN} letters", cost)
     pairings = enumerate_bipartite_pairings(m)
-    check_budget(_method_levels(word, method), m, budget, len(pairings))
-    counts = {pi: count_admissible(pi, word, method=method, budget=None) for pi in pairings}
+    check_budget(word.digit_levels, m, budget, len(pairings))
+    counts = {pi: count_admissible(pi, word, budget=None) for pi in pairings}
     return RationalMomentReport(word=word, tuple_counts=counts)
 
 
@@ -391,47 +378,30 @@ def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) ->
 # trace covariance (unnormalized traces, connected pairings)
 # ---------------------------------------------------------------------------
 
-def exact_trace_covariance(word1: WickWord, word2: WickWord,
-                           budget: int | None = DEFAULT_BUDGET) -> Fraction:
-    """Cov(Tr W^{sigmas}, Tr W^{taus}) with Tr the unnormalized trace.
-
-    Equals M^-(m+r) times the number of admissible combined tuples, summed
-    over the connected bipartite pairings of [2(m+r)] (those coupling the two
-    trace cycles).
-    """
-    return _trace_pair_sum(word1, word2, budget, connected_only=True)
-
-
-def exact_trace_product_expectation(word1: WickWord, word2: WickWord) -> Fraction:
-    """E(Tr W^{sigmas} * Tr W^{taus}); all bipartite pairings, not just connected."""
-    return _trace_pair_sum(word1, word2, DEFAULT_BUDGET, connected_only=False)
-
-
 def _connected_rows(m: int, r: int) -> np.ndarray:
     """The rows of ``_pairing_table(m + r)`` whose pairings couple the two
     trace cycles: some factor of the first maps beyond it."""
     return np.flatnonzero((_pairing_table(m + r).fm[:, :m] >= m).any(axis=1))
 
 
-def _trace_pair_sum(word1: WickWord, word2: WickWord, budget: int | None,
-                    connected_only: bool) -> Fraction:
-    """M^-(m+r) times the admissible combined tuples of the two trace cycles.
+def exact_trace_covariance(word1: WickWord, word2: WickWord,
+                           budget: int | None = DEFAULT_BUDGET) -> Fraction:
+    """Cov(Tr W^{sigmas}, Tr W^{taus}) with Tr the unnormalized trace.
 
-    Sums over the bipartite pairings of [2(m+r)], only those coupling the
-    two cycles when ``connected_only``; more than
-    ``partitions.MAX_PAIRING_ORDER`` letters in all are refused.  Each
-    mixed level makes one grid pass for all the rows summed, and ``budget``
-    is checked once against the number of rows times the grids.
+    Equals M^-(m+r) times the admissible combined tuples of the two trace
+    cycles, summed over the connected bipartite pairings of [2(m+r)] (those
+    coupling the two cycles); more than ``partitions.MAX_PAIRING_ORDER``
+    letters in all are refused.  Each mixed level makes one grid pass for
+    all the rows summed, and ``budget`` is checked once against the number
+    of rows times the grids.
     """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
     m, r = word1.m, word2.m
-    K = m + r
-    M, P = word1.shape.M, word1.shape.P
-    perms = word1.perms + word2.perms
-    levels = digit_levels(perms)
+    K, M, P = m + r, word1.shape.M, word1.shape.P
+    levels = digit_levels(word1.perms + word2.perms)
     table = _pairing_table(K)
-    rows = _connected_rows(m, r) if connected_only else np.arange(len(table.pairings))
+    rows = _connected_rows(m, r)
     check_budget(levels, K, budget, len(rows))
     tables, mixed = _keep_swap_orbits(levels, (m, r))
     counts = [_row_count(P, table, row, tables) for row in rows.tolist()]

@@ -127,6 +127,20 @@ def test_fit_variance_slope():
     assert fit["degenerate"] and math.isnan(fit["slope"])
     with pytest.raises(ValueError):
         mc.fit_variance_slope([8, 16], [1.0, 2.0])
+    # a NaN or negative variance is degenerate too: no fit, no NaN slope
+    # passed off as a fit
+    for bad in (float("nan"), -0.5):
+        fit = mc.fit_variance_slope([4, 8, 16], [1.0, bad, 0.5])
+        assert fit["degenerate"] and math.isnan(fit["slope"]) and fit["residuals"] == []
+
+
+def test_variance_probe_refuses_one_sample():
+    # one sample has no sample variance (n - 1 = 0)
+    jobs = [(M, word(M, M, Identity(M))) for M in (2, 4, 8)]
+    with pytest.raises(ValueError, match="samples >= 2"):
+        mc.variance_scaling_probe(jobs, SamplerConfig(MatrixShape(2, 2), 1, 0))
+    fit = mc.variance_scaling_probe(jobs, SamplerConfig(MatrixShape(2, 2), 2, 0))
+    assert len(fit["variances"]) == 3
 
 
 def test_variance_probe_plain_wishart_slope():

@@ -35,6 +35,46 @@ def test_eval_examples():
         g(1, 5)
 
 
+def pointwise_and_grid(p):
+    """p(i, j) at every point of [M]^2, and ``eval_arrays`` on the grid."""
+    idx = np.arange(1, p.M + 1)
+    R, C = p.eval_arrays(*np.meshgrid(idx, idx, indexing="ij"))
+    calls = [[p(i, j) for j in range(1, p.M + 1)] for i in range(1, p.M + 1)]
+    return calls, [[(int(R[a, b]), int(C[a, b])) for b in range(p.M)] for a in range(p.M)]
+
+
+def test_partial_transpose_definition_equals_the_shift_form():
+    # __call__ splits each index into (block, offset) as the paper defines
+    # Gamma(b, d); eval_arrays swaps the offsets by one shift array
+    for M in range(1, 13):
+        for d in range(1, M + 1):
+            if M % d == 0:
+                for side in Side:
+                    calls, grid = pointwise_and_grid(PartialTranspose(M // d, d, side))
+                    assert calls == grid, (M // d, d, side)
+
+
+def test_every_kind_calls_its_eval_arrays():
+    rng = np.random.default_rng(6)
+    for M in (1, 2, 5, 6):
+        table = pm.random_symmetric_table(M, rng)
+        diag = pm.InducedDiagonal(rng.permutation(M) + 1)
+        R, C = np.divmod(rng.permutation(M * M).reshape(M, M), M)
+        crooked = pm.TablePermutation(R + 1, C + 1)  # not symmetric in general
+        comp = pm.Composition([PartialTranspose(1, M, Side.LEFT), table, diag, crooked])
+        for p in (Identity(M), Transpose(M), diag, table, crooked, comp):
+            calls, grid = pointwise_and_grid(p)
+            assert calls == grid, p
+            assert all(type(x) is int for row in calls for point in row for x in point)
+            for i, j in ((0, 1), (1, 0), (M + 1, 1), (1, M + 1), (-1, -1)):
+                with pytest.raises(ValueError):
+                    p(i, j)
+        # a composition applies its letters innermost first
+        assert [[comp(i, j) for j in range(1, M + 1)] for i in range(1, M + 1)] == [
+            [comp.perms[0](*table(*diag(*crooked(i, j)))) for j in range(1, M + 1)]
+            for i in range(1, M + 1)]
+
+
 def test_apply_identity_transpose_blocks():
     rng = np.random.default_rng(0)
     M, d = 6, 3
@@ -442,10 +482,11 @@ def test_apply_preserves_self_adjointness_and_trace():
 
 
 def test_gamma_lcm_data():
-    assert pm.gamma_lcm_data(2, 3) == pm.LcmData(6, 3, 2, False)
-    assert pm.gamma_lcm_data(4, 4) == pm.LcmData(4, 1, 1, False)
-    assert pm.gamma_lcm_data(1, 9) == pm.LcmData(9, 9, 1, False)
-    assert pm.gamma_lcm_data(9, 1) == pm.LcmData(9, 9, 1, True)
+    assert pm.gamma_lcm_data(2, 3) == pm.LcmData(6, 3, 2)
+    assert pm.gamma_lcm_data(4, 4) == pm.LcmData(4, 1, 1)
+    assert pm.gamma_lcm_data(1, 9) == pm.LcmData(9, 9, 1)
+    assert pm.gamma_lcm_data(9, 1) == pm.LcmData(9, 9, 1)
+    assert pm.gamma_lcm_data(6, 4) == pm.gamma_lcm_data(4, 6) == pm.LcmData(12, 3, 2)
     with pytest.raises(ValueError):
         pm.gamma_lcm_data(0, 3)
 
