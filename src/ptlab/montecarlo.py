@@ -401,15 +401,19 @@ def fit_variance_slope(Ms: Sequence[int], variances: Sequence[float]) -> dict:
 def variance_scaling_probe(jobs: Sequence[tuple[int, WickWord]], config: SamplerConfig) -> dict:
     """Variance of the normalized trace statistic along an M grid, plus fit.
 
-    ``jobs`` is a list of (M, word); each grid point reruns the sampler with
-    the same seed and sample count at that word's shape.  ``variance_se``
-    holds the standard error of each variance, from the sample's fourth
-    central moment: Var(s^2) = mu4 / n - sigma^4 (n - 3) / (n (n - 1)).
+    ``jobs`` is a list of (M, word), M the word's own side (any other M is
+    refused); each grid point reruns the sampler with the same seed and
+    sample count at that word's shape.  ``variance_se`` holds the standard
+    error of each variance, from the sample's fourth central moment:
+    Var(s^2) = mu4 / n - sigma^4 (n - 3) / (n (n - 1)).
     """
     if len(jobs) < 3:
         raise ValueError("need a grid of at least 3 points")
     if config.samples < 2:
         raise ValueError("a variance requires samples >= 2")
+    for M, word in jobs:
+        if M != word.shape.M:
+            raise ValueError(f"job M = {M} is not its word's M = {word.shape.M}")
     Ms, variances, variance_se, tr_variances = [], [], [], []
     for M, word in jobs:
         cfg = SamplerConfig(word.shape, config.samples, config.seed)

@@ -304,6 +304,8 @@ class TablePermutation(EntryPermutation):
         if len(mapping) != M * M:
             raise ValueError(f"mapping must define all {M * M} images")
         for (i, j), (u, v) in mapping.items():
+            if not all(1 <= x <= M for x in (i, j, u, v)):
+                raise ValueError(f"mapping entry ({i}, {j}) -> ({u}, {v}) is outside [1, {M}]")
             R[i - 1, j - 1] = u
             C[i - 1, j - 1] = v
         return cls(R, C)

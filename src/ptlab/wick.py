@@ -22,12 +22,14 @@ is a product over the word's digit levels (``perms.digit_levels``): each
 l-equality splits into one equality per mixed-radix digit level.  A
 keep/swap level contributes radix^(free digit orbits).  Those orbits depend
 only on the pairing, the trace cycles and the level's swap pattern, so
-``_level_orbits`` works them out for every pairing of the order at once
-and keeps the table (one int8 per pairing) per (cycles, swaps) for the
-process; the pairings and their j-orbits sit in one ``_PairingTable`` per
-order.  Pinned endpoints (``segment_sum``) and the "fast" method count on
+``_orbits`` works them out for every pairing of the order at once, and
+``_level_orbits`` keeps the table (one int8 per pairing) per (cycles,
+swaps) for the process.  The j-orbits are ``_orbits`` with every letter a
+cycle of its own and no swap; they are a column of the one
+``_PairingTable`` per order, beside the pairings.  Pinned endpoints
+(``segment_sum``) and the "fast" method count on
 ``perms.count_on_digit_levels``, the counter the permutation statistics
-share, and read P's exponent from one ``orbit_labels`` row.  A mixed level
+share, and read P's exponent from ``_orbits`` of the one pairing.  A mixed level
 walks its radix^m grid once, chunk by chunk, on the letters reduced to that
 radix, and counts every pairing row from the histogram of its points'
 agreement masks (``perms.count_pairing_rows``): a word keeps the product
@@ -153,22 +155,15 @@ class _PairingTable:
 
     ``fm[row]`` is the 0-based factor map of ``pairings[row]`` (int8, K! x K),
     ``row`` maps a pairing's partner tuple to its row, and ``j_orbits`` gives
-    each pairing's number of j-orbits (``_j_orbits``).
+    each pairing's number of j-orbits: ``_orbits`` with every letter a cycle
+    of its own and no swap, so the pair (t, f(t)) joins t and f(t).
     """
 
     def __init__(self, K: int):
         self.pairings = enumerate_bipartite_pairings(K)
         self.row = {p.partner: k for k, p in enumerate(self.pairings)}
         self.fm = np.array([p.factor_map() for p in self.pairings], dtype=np.int8) - 1
-        self.j_orbits = _j_orbits(self.fm).astype(np.int8)
-
-
-def _j_orbits(fm: np.ndarray) -> np.ndarray:
-    """The orbits of the factors under t ~ f(t), for each row f of the
-    0-based factor maps ``fm``, from one ``orbit_labels`` pass."""
-    factors = np.arange(fm.shape[1])
-    labels = orbit_labels(fm.shape[1], np.broadcast_to(factors, fm.shape), fm)
-    return np.count_nonzero(labels == factors, axis=1)
+        self.j_orbits = _orbits(self.fm, (1,) * K, (False,) * K)
 
 
 @lru_cache(maxsize=None)
@@ -176,20 +171,17 @@ def _pairing_table(K: int) -> _PairingTable:
     return _PairingTable(K)
 
 
-@lru_cache(maxsize=None)
-def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarray:
-    """Free i-orbits of a keep/swap level, for every pairing of order sum(cycles).
+def _orbits(fm: np.ndarray, cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarray:
+    """Free orbits of the letters' variables, for each row f of the 0-based
+    factor maps ``fm`` (int8, one entry per row).
 
     The letters run around the trace ``cycles`` in turn; letter t takes the
     arguments (i_t, i_next(t)) of its cycle and keeps or swaps their digits
     as ``swaps[t]`` says.  The pair (t, f(t)) equates coordinate 0 of letter
     t's image with coordinate 1 of letter f(t)'s, so it joins the variable
-    that each takes: one edge per letter, one graph per pairing, all of them
-    in one ``orbit_labels`` pass.  The level contributes radix^orbits, for
-    any M and radix, so the table (int8, one entry per pairing) is kept per
-    (cycles, swaps); there are at most 2^K swap patterns per cycle split.
+    that each takes: one edge per letter, one graph per row, all of them in
+    one ``orbit_labels`` pass.
     """
-    fm = _pairing_table(sum(cycles)).fm
     letters = np.arange(fm.shape[1])
     starts = np.cumsum((0,) + cycles[:-1])
     nxt = np.concatenate([np.roll(letters[a:a + c], -1) for a, c in zip(starts, cycles)])
@@ -199,6 +191,17 @@ def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarra
     orbits = np.count_nonzero(labels == letters, axis=1).astype(np.int8)
     orbits.flags.writeable = False
     return orbits
+
+
+@lru_cache(maxsize=None)
+def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarray:
+    """``_orbits`` of a keep/swap level for every pairing of order sum(cycles).
+
+    The level contributes radix^orbits, for any M and radix, so the table is
+    kept per (cycles, swaps); there are at most 2^K swap patterns per cycle
+    split.
+    """
+    return _orbits(_pairing_table(sum(cycles)).fm, cycles, swaps)
 
 
 def _keep_swap_orbits(levels, cycles):
@@ -228,9 +231,10 @@ def _mixed_row_counts(mixed, arg_spec, fm) -> list[int]:
 
 def _j_orbit_count(pairing: Pairing) -> int:
     """Orbits of the factors under t ~ s for each pair (t, s), the exponent
-    of P: one ``orbit_labels`` row of the pairing's factor map, for a count
-    of one pairing at any order (no pairing table is built)."""
-    return int(_j_orbits(np.array([pairing.factor_map()]) - 1)[0])
+    of P: ``_orbits`` of the pairing's factor map alone, for a count of one
+    pairing at any order (no pairing table is built)."""
+    m = pairing.m
+    return int(_orbits(np.array([pairing.factor_map()]) - 1, (1,) * m, (False,) * m)[0])
 
 
 def weight_support(pairing: Pairing, word: WickWord, i: tuple[int, ...],
@@ -362,14 +366,12 @@ def exact_mixed_moment(word: WickWord,
 
 
 def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) -> Fraction:
-    """Multivariate free cumulant kappa_m of the word at finite (M, P)."""
-    cache: dict[tuple, Fraction] = {}
+    """Multivariate free cumulant kappa_m of the word at finite (M, P).
 
+    The recursion asks for the moment of each distinct subword once.
+    """
     def moment(sub: tuple) -> Fraction:
-        key = tuple(p.key() for p in sub)
-        if key not in cache:
-            cache[key] = exact_mixed_moment(WickWord(word.shape, sub), budget=budget).total
-        return cache[key]
+        return exact_mixed_moment(WickWord(word.shape, sub), budget=budget).total
 
     return pts.moments_to_free_cumulants(moment, word.perms)
 

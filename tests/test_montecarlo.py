@@ -143,6 +143,20 @@ def test_variance_probe_refuses_one_sample():
     assert len(fit["variances"]) == 3
 
 
+def test_variance_probe_refuses_a_job_off_its_word():
+    # a job's M scales its variance to Tr's and is the fit's abscissa, so it
+    # must be the word's side: (64, a word at M = 32) would fit a point four
+    # times too large at the wrong M
+    def chain(M):
+        return word(M, M, PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2))
+
+    cfg = SamplerConfig(MatrixShape(8, 8), 50, 1)
+    with pytest.raises(ValueError, match="job M = 64 is not its word's M = 32"):
+        mc.variance_scaling_probe([(8, chain(8)), (16, chain(16)), (64, chain(32))], cfg)
+    fit = mc.variance_scaling_probe([(M, chain(M)) for M in (8, 16, 32)], cfg)
+    assert fit["Ms"] == [8, 16, 32]
+
+
 def test_variance_probe_plain_wishart_slope():
     jobs = [(M, word(M, M, Identity(M))) for M in (8, 16, 32)]
     cfg = SamplerConfig(MatrixShape(8, 8), 2000, 42)

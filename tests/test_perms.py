@@ -122,6 +122,19 @@ def test_invert_random_table():
         pm.compose(Identity(4), Identity(5))
 
 
+def test_from_mapping_refuses_entries_outside_the_grid():
+    swap = {(1, 1): (1, 1), (1, 2): (2, 1), (2, 1): (1, 2), (2, 2): (2, 2)}
+    assert pm.extensionally_equal(pm.TablePermutation.from_mapping(2, swap), Transpose(2))
+    # a key 0 would land on the last row through a negative index, and a key
+    # M + 1 past the table; an image M + 1 would encode as another entry
+    for bad, entry in (({(0, 0): (2, 2)}, r"\(0, 0\) -> \(2, 2\)"),
+                       ({(3, 3): (2, 2)}, r"\(3, 3\) -> \(2, 2\)"),
+                       ({(2, 2): (1, 3)}, r"\(2, 2\) -> \(1, 3\)")):
+        mapping = {k: v for k, v in swap.items() if k != (2, 2)} | bad
+        with pytest.raises(ValueError, match=entry + r" is outside \[1, 2\]"):
+            pm.TablePermutation.from_mapping(2, mapping)
+
+
 def test_is_symmetric():
     for M in (4, 6, 12):
         for g in divisor_transposes(M) + divisor_transposes(M, Side.LEFT):

@@ -95,6 +95,33 @@ def test_exact_cumulant_examples():
             Fraction(P, M * M)
 
 
+def test_cumulant_asks_each_distinct_subword_once(monkeypatch):
+    # the noncrossing recursion keeps each subword's cumulant, so the moment
+    # of a subword is computed once however many blocks select it; the
+    # letters are equal but distinct objects, as a parsed word's are
+    M = 12
+    kinds = {"G": lambda: PartialTranspose(4, 3), "T": lambda: Transpose(M),
+             "I": lambda: Identity(M)}
+    moment = wk.exact_mixed_moment
+    calls = []
+
+    def counted(sub, **kw):
+        calls.append(sub.perms)
+        return moment(sub, **kw)
+
+    for letters, distinct in (("GTGI", 13), ("GTGIG", 23), ("GTGIGT", 45)):
+        w = word(M, M, *(kinds[x]() for x in letters))
+        expected = wk.exact_mixed_cumulant(w)
+        calls.clear()
+        monkeypatch.setattr(wk, "exact_mixed_moment", counted)
+        assert wk.exact_mixed_cumulant(w) == expected
+        monkeypatch.setattr(wk, "exact_mixed_moment", moment)
+        subwords = {tuple(w.perms[k] for k in c) for r in range(1, w.m + 1)
+                    for c in itertools.combinations(range(w.m), r)}
+        assert len(calls) == len(set(calls)) == len(subwords) == distinct, letters
+        assert set(calls) == subwords
+
+
 def test_kappa2_identity_mixed_kinds():
     rng = np.random.default_rng(11)
     for (M, P) in ((8, 8), (12, 8)):
