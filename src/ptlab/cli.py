@@ -40,7 +40,6 @@ from fractions import Fraction
 
 from . import asymptotics as ay
 from . import montecarlo as mc
-from . import selftest as st
 from . import wick as wk
 from . import perms as pm
 from .perms import MatrixShape, PartialTranspose, ResourceLimitError, Side
@@ -469,6 +468,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest as st  # only this command reads the criteria
+
     if args.criteria:
         wanted = tuple(int(x) for x in args.criteria.split(","))
         bad = [x for x in wanted if x not in st.ALL_CRITERIA]

@@ -36,10 +36,13 @@ agreement masks (``perms.count_pairing_rows``): a word keeps the product
 over its mixed levels per row of its order's table
 (``WickWord.mixed_counts``, filled by the first pairing counted), and
 ``exact_trace_covariance``, the one sum over two trace cycles, makes the
-pass over the connected rows it sums.  Words of ``I``, ``T``, ``G(b, d)``
-and ``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g the lcm and gcd
-of the block sizes inside it, whatever M is; divisor-chain words have no
-mixed level and build no grid.  A word with a ``D(file)``,
+pass over the connected rows and sums them by exponent group
+(``_exponent_groups``, cached per cycles and distinct swap patterns).  A
+moment still counts pairing by pairing (ROADMAP item 2 moves it onto the
+groups).  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
+(L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
+it, whatever M is; divisor-chain words have no mixed level and build no
+grid.  A word with a ``D(file)``,
 ``P(file)``, composition or table letter is one mixed level of radix M.
 The enumeration budget charges the sum of the mixed levels' grids once for
 each pairing summed (an upper bound on the pass's mask tests), checked
@@ -59,7 +62,6 @@ tuple, by its definition.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -386,6 +388,33 @@ def _connected_rows(m: int, r: int) -> np.ndarray:
     return np.flatnonzero((_pairing_table(m + r).fm[:, :m] >= m).any(axis=1))
 
 
+class _ExponentGroups:
+    """The connected rows of two trace cycles grouped by exponent vector.
+
+    ``fm`` holds the factor maps of ``_connected_rows(m, r)``; row k's
+    exponent vector is its j-orbits, then its ``_level_orbits`` under each
+    of the swap ``patterns``.  ``exponents`` lists the distinct vectors,
+    ``group[k]`` is row k's index among them and ``sizes`` counts each
+    group's rows.  Nothing here depends on M, P, a radix or a letter.
+    """
+
+    def __init__(self, cycles: tuple[int, int], patterns: tuple[tuple[bool, ...], ...]):
+        table, rows = _pairing_table(sum(cycles)), _connected_rows(*cycles)
+        self.fm = table.fm[rows]
+        columns = [table.j_orbits] + [_level_orbits(cycles, swaps) for swaps in patterns]
+        exponents, group = np.unique(np.stack(columns, axis=1)[rows], axis=0,
+                                     return_inverse=True)
+        self.exponents = [tuple(e) for e in exponents.tolist()]
+        self.group = group.ravel()
+        self.sizes = np.bincount(self.group, minlength=len(exponents)).tolist()
+
+
+@lru_cache(maxsize=None)
+def _exponent_groups(cycles: tuple[int, int],
+                     patterns: tuple[tuple[bool, ...], ...]) -> _ExponentGroups:
+    return _ExponentGroups(cycles, patterns)
+
+
 def exact_trace_covariance(word1: WickWord, word2: WickWord,
                            budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """Cov(Tr W^{sigmas}, Tr W^{taus}) with Tr the unnormalized trace.
@@ -393,24 +422,38 @@ def exact_trace_covariance(word1: WickWord, word2: WickWord,
     Equals M^-(m+r) times the admissible combined tuples of the two trace
     cycles, summed over the connected bipartite pairings of [2(m+r)] (those
     coupling the two cycles); more than ``partitions.MAX_PAIRING_ORDER``
-    letters in all are refused.  Each mixed level makes one grid pass for
-    all the rows summed, and ``budget`` is checked once against the number
-    of rows times the grids.
+    letters in all are refused.  The rows are summed by exponent group
+    (``_exponent_groups``): group g adds P^(j_g) times each swap pattern's
+    radix, the product of its levels' radices, to the group's orbits, times
+    the group's row count, or with mixed levels its rows' mixed counts
+    summed.  Each mixed level makes one grid pass for all the rows, and
+    ``budget`` is checked once, before any count, against the number of
+    rows times the grids.
     """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
     m, r = word1.m, word2.m
     K, M, P = m + r, word1.shape.M, word1.shape.P
     levels = digit_levels(word1.perms + word2.perms)
-    table = _pairing_table(K)
-    rows = _connected_rows(m, r)
-    check_budget(levels, K, budget, len(rows))
-    tables, mixed = _keep_swap_orbits(levels, (m, r))
-    counts = [_row_count(P, table, row, tables) for row in rows.tolist()]
+    radices, mixed = {}, []
+    for level in levels:
+        if type(level) is MixedLevel:
+            mixed.append(level)
+        else:
+            radices[level[2]] = radices.get(level[2], 1) * level[1]
+    patterns = tuple(sorted(radices))
+    groups = _exponent_groups((m, r), patterns)
+    check_budget(levels, K, budget, len(groups.group))
+    sizes = groups.sizes
     if mixed:
+        sizes = [0] * len(sizes)
         arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
-        counts = map(operator.mul, counts, _mixed_row_counts(mixed, arg_spec, table.fm[rows]))
-    return Fraction(sum(counts), M**K)
+        for g, n in zip(groups.group.tolist(), _mixed_row_counts(mixed, arg_spec, groups.fm)):
+            sizes[g] += n
+    bases = [P] + [radices[swaps] for swaps in patterns]
+    total = sum(math.prod(map(pow, bases, exponents)) * n
+                for exponents, n in zip(groups.exponents, sizes))
+    return Fraction(total, M**K)
 
 
 # ---------------------------------------------------------------------------

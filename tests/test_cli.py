@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -504,3 +507,21 @@ def test_selftest_subset(capsys):
     assert code == 0
     assert "criterion 9: PASS" in out
     assert cli.main(["selftest", "--criteria", "12"]) == 2
+
+
+def test_selftest_is_imported_by_its_command_only():
+    # a fresh process that imports the CLI compiles no selftest module; the
+    # selftest command imports it and still passes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                                      env.get("PYTHONPATH")]))
+    script = ("import sys\nfrom ptlab import cli\n"
+              "print('ptlab.selftest' in sys.modules)\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print('ptlab.selftest' in sys.modules)\nsys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script, "selftest", "--criteria", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "True"
+    assert "criterion 1: PASS" in proc.stdout

@@ -919,6 +919,107 @@ def test_connected_rows_couple_the_two_cycles():
     assert [repr(table.pairings[k]) for k in wk._connected_rows(1, 1)] == ["(1,4)(2,3)"]
 
 
+# ---------------------------------------------------------------------------
+# the covariance's exponent groups against the per-row product
+# ---------------------------------------------------------------------------
+
+def per_row_covariance(w1, w2):
+    """Cov(Tr, Tr) as the sum over the connected rows of ``_row_count``
+    times the row's mixed count: one product per row, no groups."""
+    m, r, (M, P) = w1.m, w2.m, (w1.shape.M, w1.shape.P)
+    table, rows = wk._pairing_table(m + r), wk._connected_rows(m, r)
+    tables, mixed = wk._keep_swap_orbits(pm.digit_levels(w1.perms + w2.perms), (m, r))
+    counts = wk._mixed_row_counts(mixed, cyclic_spec((m, r)), table.fm[rows])
+    total = sum(wk._row_count(P, table, row, tables) * n for row, n in zip(rows.tolist(), counts))
+    return Fraction(total, M ** (m + r))
+
+
+def test_grouped_covariance_matches_enumeration_exhaustive():
+    # every pair of words over I, T, G(2, 2) and LG(2, 2) at M = 4 with
+    # m + r <= 4 and over the sizes {2, 4} at M = 8 with m + r <= 3, at every
+    # split, then a seeded sample of 5 and 6 letters at M = 4: the group sum,
+    # the per-row product and the enumeration agree exactly
+    P = 3
+    cases = 0
+    for M, ds, max_K in ((4, (2,), 4), (8, (2, 4), 3)):
+        for K in range(2, max_K + 1):
+            for perms in itertools.product(chain_letters(M, ds), repeat=K):
+                for m in range(1, K):
+                    w1, w2 = word(M, P, *perms[:m]), word(M, P, *perms[m:])
+                    assert wk.exact_trace_covariance(w1, w2) == per_row_covariance(w1, w2) \
+                        == enumerated_covariance(w1, w2), (perms, m)
+                    cases += 1
+    assert cases == (16 + 64 * 2 + 256 * 3) + (36 + 216 * 2)
+    M, alphabet = 4, chain_letters(4, (2,))
+    rng = np.random.default_rng(16)
+    for K in (5, 5, 5, 6, 6, 6):
+        perms = [alphabet[k] for k in rng.choice(len(alphabet), K)]
+        m = int(rng.integers(1, K))
+        w1, w2 = word(M, P, *perms[:m]), word(M, P, *perms[m:])
+        assert wk.exact_trace_covariance(w1, w2) == per_row_covariance(w1, w2) == \
+            enumerated_covariance(w1, w2), (perms, m)
+
+
+def test_levels_that_share_a_swap_pattern_merge(monkeypatch):
+    # digit_levels gives every keep/swap level its own swap pattern; a
+    # level cut in two digits of one pattern has the same orbits on every
+    # row, so the two share one exponent coordinate (the same table) and
+    # their radices multiply back to the uncut level's
+    M = 16
+    w1 = word(M, 2, PartialTranspose(4, 4), Transpose(M))
+    w2 = word(M, 2, PartialTranspose(4, 4, Side.LEFT))
+    levels = pm.digit_levels(w1.perms + w2.perms)
+    assert [level[1] for level in levels] == [4, 4]
+    wk._exponent_groups.cache_clear()
+    expected = wk.exact_trace_covariance(w1, w2)
+    assert expected == enumerated_covariance(w1, w2)
+
+    def cut_levels(perms):
+        return [cut for base, radix, swaps in pm.digit_levels(perms)
+                for cut in ((base, 2, swaps), (2 * base, radix // 2, swaps))]
+
+    monkeypatch.setattr(wk, "digit_levels", cut_levels)
+    assert wk.exact_trace_covariance(w1, w2) == expected
+    info = wk._exponent_groups.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_exponent_groups_are_kept_per_cycles_and_patterns():
+    # Var(Tr) of G(2,M/2) G(M/2,2) has the same three swap patterns at every
+    # M: one table entry, then only hits; M, P and the radices are applied
+    # per call
+    wk._exponent_groups.cache_clear()
+    for M in (8, 64, 8192):
+        w = word(M, M, PartialTranspose(2, M // 2), PartialTranspose(M // 2, 2))
+        assert wk.exact_trace_covariance(w, w) == \
+            6 + Fraction(65, 2 * M) + Fraction(64, M * M)
+    info = wk._exponent_groups.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    patterns = tuple(sorted(level[2] for level in pm.digit_levels(w.perms * 2)))
+    groups = wk._exponent_groups((2, 2), patterns)
+    assert sum(groups.sizes) == len(groups.group) == len(wk._connected_rows(2, 2)) == 20
+
+
+@st.composite
+def non_chain_pair(draw):
+    M = draw(st.sampled_from((6, 12)))
+    ds = draw(st.sampled_from([ds for ds in NON_CHAIN_SIZES if M % math.lcm(*ds) == 0]))
+    K = draw(st.integers(2, 5 if M == 6 else 4))
+    m = draw(st.integers(1, K - 1))
+    perms = draw(st.lists(st.sampled_from(chain_letters(M, ds)), min_size=K, max_size=K)
+                 .filter(has_mixed_level))
+    P = draw(st.integers(1, 3))
+    return word(M, P, *perms[:m]), word(M, P, *perms[m:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_chain_pair())
+def test_grouped_covariance_matches_the_per_row_product_on_mixed_words(words):
+    # the mixed counts summed per exponent group against one product per row
+    w1, w2 = words
+    assert wk.exact_trace_covariance(w1, w2) == per_row_covariance(w1, w2)
+
+
 def test_decomposition_identity_against_naive():
     # total moment equals the naive-path pairing sum on a small exhaustive grid
     for M, P in ((4, 4), (6, 5)):
