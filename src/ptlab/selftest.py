@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -172,9 +173,29 @@ def criterion_4():
     return f"{checked} (word, pairing) cells, exact equality"
 
 
+def _real_trace_variance(word: wk.WickWord) -> Fraction:
+    """Exact Var(Re Tr X) of the word X = W^{s1} ... W^{sm}, the sampler's statistic.
+
+    Every letter W^s is self-adjoint: with s(i, j) = (a, b), s commutes with
+    the swap, so s(j, i) = (b, a) and (W^s)*_ij = conj(W_ba) = W_ab = (W^s)_ij,
+    W being Hermitian.  So conj(Tr X) = Tr X* with X* = W^{sm} ... W^{s1}, the
+    reversed word, and Re Tr X = (Tr X + Tr X*) / 2; as Cov is bilinear,
+    Var(Re Tr X) = (Cov(X, X) + 2 Cov(X, X*) + Cov(X*, X*)) / 4, each term one
+    ``exact_trace_covariance``.
+    """
+    rev = wk.WickWord(word.shape, word.perms[::-1])
+    return (wk.exact_trace_covariance(word, word) + 2 * wk.exact_trace_covariance(word, rev)
+            + wk.exact_trace_covariance(rev, rev)) / 4
+
+
 @_criterion(5, "MC/exact agreement (1e5 samples, seed 42)", monte_carlo=True)
 def criterion_5():
-    """Monte Carlo agreement with the exact oracle at 5 standard errors."""
+    """Monte Carlo agreement with the exact oracle at 5 standard errors.
+
+    Each word's reported standard error must also lie within 5% of its exact
+    one, sqrt(Var(Re Tr X) / n) / M, so a sampler that inflates its variance
+    cannot pass by shrinking |z|.
+    """
     M = P = 8
     shape = MatrixShape(M, P)
     g24, g42 = PartialTranspose(2, 4), PartialTranspose(4, 2)
@@ -186,15 +207,22 @@ def criterion_5():
             (g24, I, g24, I), (g42, g42, g42, g42),
         ]
     ]
-    cfg = mc.SamplerConfig(shape, 100000, 42)
+    n = 100000
+    cfg = mc.SamplerConfig(shape, n, 42)
     reports = mc.mc_mixed_moments(words, cfg)
     zmax = 0.0
+    margins = []
     for word, rep in zip(words, reports):
         exact = float(wk.exact_mixed_moment(word).total)
         z = abs(rep.mean - exact) / rep.std_error
         zmax = max(zmax, z)
+        ratio = rep.std_error / (math.sqrt(float(_real_trace_variance(word)) / n) / M)
+        margins.append(f"{z:.2f} ({ratio:.4f})")
         assert z <= 5.0, f"|MC - exact| = {z:.2f} SE for word of length {word.m}"
-    return f"10 words, max |z| = {zmax:.2f} <= 5"
+        assert 0.95 <= ratio <= 1.05, \
+            f"SE / exact SE = {ratio:.4f} outside [0.95, 1.05] for word of length {word.m}"
+    return (f"10 words, max |z| = {zmax:.2f} <= 5; "
+            f"|z| (SE / exact SE) per word: {', '.join(margins)}")
 
 
 @_criterion(6, "finite-size freeness trend")

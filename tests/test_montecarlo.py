@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptlab import montecarlo as mc
+from ptlab import partitions as pts
+from ptlab import perms as pm
+from ptlab import selftest
 from ptlab import wick as wk
 from ptlab.montecarlo import SamplerConfig
 from ptlab.perms import (Identity, MatrixShape, PartialTranspose, Side, Transpose,
@@ -93,10 +96,47 @@ def test_mc_covariance():
     rep = mc.mc_covariance(w, w, SamplerConfig(shape, 20000, 5))
     exact = float(wk.exact_trace_covariance(w, w))
     assert abs(rep.mean - exact) <= 5 * rep.std_error
+    # two different words sharing the letter G(2,4); a word of one or two
+    # self-adjoint letters has a real trace (Tr AB = Tr (AB)* conjugated =
+    # Tr BA), so the covariance of the real parts is the exact covariance
+    g24 = PartialTranspose(2, 4)
+    w1, w2 = word(8, 8, g24, PartialTranspose(4, 2)), word(8, 8, g24, Transpose(8))
+    rep = mc.mc_covariance(w1, w2, SamplerConfig(shape, 20000, 5))
+    exact = float(wk.exact_trace_covariance(w1, w2))
+    assert exact != 0.0
+    assert abs(rep.mean - exact) <= 5 * rep.std_error
     with pytest.raises(ValueError):
         mc.mc_covariance(w, w, SamplerConfig(shape, 1, 5))
     with pytest.raises(ValueError):
         mc.mc_covariance(w, word(6, 6, Identity(6)), SamplerConfig(shape, 10, 5))
+
+
+def test_letters_are_self_adjoint():
+    # (W^s)* = W^s for a symmetric s and a Hermitian W, the step behind the
+    # exact variance of Re Tr; W is made exactly Hermitian so the check is exact
+    W = next(mc.sample_wishart(SamplerConfig(MatrixShape(8, 8), 1, 6)))
+    W = (W + W.conj().T) / 2
+    letters = [Identity(8), Transpose(8), PartialTranspose(2, 4), PartialTranspose(4, 2),
+               PartialTranspose(2, 4, Side.LEFT), pm.random_symmetric_table(8, np.random.default_rng(6))]
+    for s in letters:
+        rows, cols = gather_indices(s)
+        assert np.array_equal(W[rows, cols].conj().T, W[rows, cols]), s
+
+
+def test_exact_standard_error_of_the_real_trace():
+    # Var(Re Tr X) = (Cov(X, X) + 2 Cov(X, X*) + Cov(X*, X*)) / 4, X* the reversed
+    # word, against the sample variance and the standard error of a variance
+    # from the fourth central moment
+    g, T, I = PartialTranspose(2, 2), Transpose(4), Identity(4)
+    words = [word(4, 4, g, T, I), word(4, 4, g, T, g, I), word(4, 4, g, I)]
+    n = 40000
+    stats = mc._statistics_per_sample(words, SamplerConfig(MatrixShape(4, 4), n, 3))
+    for w, vals in zip(words, stats):
+        dev = vals - vals.mean()
+        var = float(np.sum(dev**2)) / (n - 1)
+        se = math.sqrt((np.mean(dev**4) - var**2 * (n - 3) / (n - 1)) / n)
+        exact = float(selftest._real_trace_variance(w))
+        assert abs(var - exact) <= 5 * se, (w.perms, var, exact, se)
 
 
 def test_sample_covariance_constant_is_zero():
@@ -268,6 +308,106 @@ def test_block_traces_match_per_sample_traces():
                                             map(gather_indices, w.perms)])
         expected.append(math.fsum(np.diagonal(prod).real.tolist()))
     assert mc._statistics_per_sample([w], cfg)[0].tolist() == expected
+
+
+def _reference_traces(words, cfg):
+    # each word on each sample's own draw, one product chain per word and draw:
+    # the evaluation the shared block evaluator must reproduce bit for bit
+    expected = [[] for _ in words]
+    for k in range(cfg.samples):
+        G = _reference_ginibre(cfg.shape, mc._substream(cfg.seed, k))
+        W = G @ G.conj().T
+        for row, w in zip(expected, words):
+            prod = functools.reduce(np.matmul, [W[rows, cols] for rows, cols in
+                                                map(gather_indices, w.perms)])
+            row.append(math.fsum(np.diagonal(prod).real.tolist()))
+    return expected
+
+
+def _criterion5_words():
+    g24, g42 = PartialTranspose(2, 4), PartialTranspose(4, 2)
+    I, T = Identity(8), Transpose(8)
+    return [word(8, 8, *w) for w in [
+        (I,), (g24,), (g24, g42), (I, T), (g24, g24, g24), (g42, g24, I), (T, T),
+        (PartialTranspose(8, 1), PartialTranspose(1, 8)), (g24, I, g24, I), (g42, g42, g42, g42)]]
+
+
+def _cumulant_subwords(w):
+    # the subwords mc_mixed_cumulant estimates, in its order
+    subwords = []
+    pts.moments_to_free_cumulants(lambda s: subwords.append(s) or 0.0, tuple(range(1, w.m + 1)))
+    return [w.subword(s) for s in sorted(subwords)]
+
+
+def _evaluator_cases():
+    g24 = PartialTranspose(2, 4)
+    mixed = word(8, 8, g24, Transpose(8), g24, PartialTranspose(4, 2, Side.LEFT))
+    g, h = PartialTranspose(2, 32), PartialTranspose(32, 2)
+    g32, l23 = PartialTranspose(3, 2), PartialTranspose(2, 3, Side.LEFT)
+    return {
+        # M = 8: blocks of 64 draws, the last one short
+        "criterion5": (_criterion5_words(), 2 * 64 + 5, 6, 10),
+        # 15 subwords: G^1 to G^4, one product chain each
+        "cumulant G(2,4)^4": (_cumulant_subwords(word(8, 8, *(g24,) * 4)), 64 + 7, 1, 4),
+        "cumulant mixed": (_cumulant_subwords(mixed), 64 + 7, 3, 13),
+        # M = 64: blocks of one draw
+        "M = 64": ([word(64, 64, g, h), word(64, 64, g), word(64, 64, Transpose(64), g, g),
+                    word(64, 64, g, h)], 3, 3, 3),
+        # P != M, words that share letters; at (6, 4) a word multiplied in
+        # reverse order, whose Re Tr is the same number, gives other bits in
+        # some draws
+        "P != M": ([word(6, 4, g32, l23), word(6, 4, Transpose(6), PartialTranspose(2, 3), Identity(6)),
+                    word(6, 4, l23), word(6, 4, g32, l23)],
+                   mc._block_samples(MatrixShape(6, 4)) + 3, 5, 3),
+    }
+
+
+@pytest.mark.parametrize("case", list(_evaluator_cases()))
+def test_shared_evaluator_matches_per_word_traces(case):
+    words, samples, letters, distinct = _evaluator_cases()[case]
+    cfg = SamplerConfig(words[0].shape, samples, 31)
+    evaluator = mc._WordEvaluator(words, cfg.shape.M)
+    assert (len(evaluator.gathers), len(evaluator.words)) == (letters, distinct)
+    assert sorted(at for _, positions in evaluator.words for at in positions) == list(range(len(words)))
+    assert mc._statistics_per_sample(words, cfg).tolist() == _reference_traces(words, cfg)
+
+
+def test_blocks_are_evaluated_in_the_stack_they_were_drawn_in(monkeypatch):
+    words = _criterion5_words()
+    cfg = SamplerConfig(words[0].shape, 2 * 64 + 5, 13)
+    stacked = []
+    stack = np.stack
+
+    def counting_stack(arrays, *args, **kwargs):
+        stacked.append(len(arrays))
+        return stack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting_stack)
+    expected = mc._statistics_per_sample(words, cfg)
+    assert stacked == []
+    # draws that are copies, not rows of one stack, are stacked, to the same bits
+    draw = mc.sample_wishart
+    monkeypatch.setattr(mc, "sample_wishart", lambda config: (W.copy() for W in draw(config)))
+    assert mc._statistics_per_sample(words, cfg).tobytes() == expected.tobytes()
+    assert stacked == [64, 64, 5]
+
+
+@pytest.mark.parametrize("M,P,samples", [(8, 8, 2 * 64 + 5), (64, 64, 3), (12, 6, 1)])
+def test_statistics_take_one_draw_per_sample(monkeypatch, M, P, samples):
+    # each sample is one next() on sample_wishart, looked up in the module, so
+    # a wrapper patched into it sees every draw
+    draws = []
+    draw = mc.sample_wishart
+
+    def counting(config):
+        for W in draw(config):
+            draws.append(W)
+            yield W
+
+    monkeypatch.setattr(mc, "sample_wishart", counting)
+    mc._statistics_per_sample([word(M, P, Identity(M)), word(M, P, Transpose(M), Identity(M))],
+                              SamplerConfig(MatrixShape(M, P), samples, 4))
+    assert len(draws) == samples
 
 
 class _StubStream:
