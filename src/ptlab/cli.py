@@ -17,8 +17,8 @@ command's payload, or an ``error`` cell for a point that fails, after which
 the exit code is 3 if some point was refused for its budget and 2 otherwise.
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
-3 resource refusal: a word over its length cap (6 letters for a moment or
-cumulant, 8 in all for a covariance), an enumeration over the budget, a
+3 resource refusal: a word over the pairing cap of 8 letters (for a moment
+or cumulant, and in all for a covariance), an enumeration over the budget, a
 table over the table cap or a ``limit`` order over its cap (the message
 carries the computed cost; a word of ``I``, ``T``, ``G`` and ``LG``
 enumerates only its mixed digit levels, each level's grid once for all
@@ -470,8 +470,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest as st  # only this command reads the criteria
 
-    if args.criteria:
-        wanted = tuple(int(x) for x in args.criteria.split(","))
+    if args.criteria is not None:
+        items = args.criteria.split(",")
+        if not all(x.strip() for x in items):
+            empty = "is empty" if len(items) == 1 else f"{args.criteria!r} has an empty item"
+            raise ValueError(f"--criteria {empty}; give a comma-separated subset, e.g. 1,4,9")
+        wanted = tuple(int(x) for x in items)
         bad = [x for x in wanted if x not in st.ALL_CRITERIA]
         if bad:
             raise ValueError(f"unknown criteria {bad}; valid: {st.ALL_CRITERIA}")

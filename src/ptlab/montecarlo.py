@@ -394,30 +394,25 @@ def mc_covariance(word1: WickWord, word2: WickWord, config: SamplerConfig) -> Es
 def mc_mixed_cumulant(word: WickWord, config: SamplerConfig) -> EstimateReport:
     """Plug-in estimate of the free cumulant of the word, jackknife std error.
 
-    All subword moments are estimated from the same draws; the cumulant is
-    the NC combination of the moment means, and the error is the delete-one
-    jackknife over samples.
+    Subword moments share the draws.  The NC recursion needs every nonempty
+    subset of the positions (a block of a noncrossing partition, the rest
+    singletons) and runs once on vectors of n + 1 means: S / n for the point
+    estimate, then (S - x_i) / (n - 1), without sample i, for the jackknife.
     """
+    pts._nc_blocks(word.m)  # more than MAX_NC_ORDER letters are refused before any draw
     positions = tuple(range(1, word.m + 1))
-    # a first pass with a recording moment lists the subwords the recursion needs
-    subwords: list[tuple[int, ...]] = []
-    pts.moments_to_free_cumulants(lambda w: subwords.append(w) or 0.0, positions)
-    ordered = sorted(subwords)
-    words = [word.subword(w) for w in ordered]
-    stats = _statistics_per_sample(words, config) / config.shape.M
+    ordered = sorted(sub for size in positions for sub in itertools.combinations(positions, size))
+    stats = _statistics_per_sample([word.subword(sub) for sub in ordered], config) / config.shape.M
     n = config.samples
-
-    sums = [math.fsum(row.tolist()) for row in stats]
-    means = {w: S / n for w, S in zip(ordered, sums)}
-    point = float(pts.moments_to_free_cumulants(means.__getitem__, positions))
+    means = {}
+    for sub, row in zip(ordered, stats):
+        S = math.fsum(row.tolist())
+        means[sub] = np.concatenate(([S / n], (S - row) / (n - 1) if n > 1 else []))
+    theta = pts.moments_to_free_cumulants(means.__getitem__, positions)
+    point, loo = float(theta[0]), theta[1:]
     if n < 2:
         return EstimateReport(point, float("nan"), n, config.seed)
-
-    # leave-one-out means: (S - x_i) / (n - 1), vectorized over i
-    loo = {w: (S - row) / (n - 1) for w, S, row in zip(ordered, sums, stats)}
-    theta = np.asarray(pts.moments_to_free_cumulants(loo.__getitem__, positions), dtype=float)
-    theta_bar = theta.mean()
-    se = math.sqrt((n - 1) / n * float(np.sum((theta - theta_bar) ** 2)))
+    se = math.sqrt((n - 1) / n * float(np.sum((loo - loo.mean()) ** 2)))
     return EstimateReport(point, se, n, config.seed)
 
 

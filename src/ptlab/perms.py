@@ -258,8 +258,8 @@ class InducedDiagonal(EntryPermutation):
 
     def __init__(self, theta: Iterable[int]):
         theta = tuple(int(t) for t in theta)
-        if sorted(theta) != list(range(1, len(theta) + 1)):
-            raise ValueError("theta is not a permutation of [M] (1-based)")
+        if not theta or sorted(theta) != list(range(1, len(theta) + 1)):
+            raise ValueError("theta is not a permutation of [M] (1-based) with M >= 1")
         self.theta = theta
         self.M = len(theta)
         self._arr = np.asarray(theta, dtype=np.int64)
@@ -286,8 +286,8 @@ class TablePermutation(EntryPermutation):
     def __init__(self, R: np.ndarray, C: np.ndarray):
         R = np.asarray(R, dtype=np.int64)
         C = np.asarray(C, dtype=np.int64)
-        if R.shape != C.shape or R.ndim != 2 or R.shape[0] != R.shape[1]:
-            raise ValueError("image tables must be two square arrays of equal shape")
+        if R.shape != C.shape or R.ndim != 2 or R.shape[0] != R.shape[1] or R.size == 0:
+            raise ValueError("image tables must be two M x M arrays of equal shape, M >= 1")
         M = R.shape[0]
         _check_grid_side(M)
         enc = (R - 1) * M + (C - 1)
@@ -601,8 +601,10 @@ def check_budget(levels, n_vars: int, budget: int | None, pairings: int = 1) -> 
     ``count_pairing_rows`` that is an upper bound on its mask tests
     (distinct masks, at most the points, times the pairings), on top of
     walking the grid once."""
+    if budget is None:
+        return
     radices = [level.radix for level in levels if type(level) is MixedLevel]
-    if radices and budget is not None:  # chains: nothing to check
+    if radices:  # chains: nothing to check
         grid = sum(r**n_vars for r in radices)
         cost = pairings * grid
         if cost > budget:

@@ -29,27 +29,27 @@ cycle of its own and no swap; they are a column of the one
 ``_PairingTable`` per order, beside the pairings.  Pinned endpoints
 (``segment_sum``) and the "fast" method count on
 ``perms.count_on_digit_levels``, the counter the permutation statistics
-share, and read P's exponent from ``_orbits`` of the one pairing.  A mixed level
-walks its radix^m grid once, chunk by chunk, on the letters reduced to that
-radix, and counts every pairing row from the histogram of its points'
-agreement masks (``perms.count_pairing_rows``): a word keeps the product
-over its mixed levels per row of its order's table
-(``WickWord.mixed_counts``, filled by the first pairing counted), and
-``exact_trace_covariance``, the one sum over two trace cycles, makes the
-pass over the connected rows and sums them by exponent group
-(``_exponent_groups``, cached per cycles and distinct swap patterns).  A
-moment still counts pairing by pairing (ROADMAP item 2 moves it onto the
-groups).  Words of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost
-(L/g)^m per mixed level, L and g the lcm and gcd of the block sizes inside
-it, whatever M is; divisor-chain words have no mixed level and build no
-grid.  A word with a ``D(file)``,
+share, and read P's exponent from ``_orbits`` of the one pairing.
+
+A moment and a covariance read one table of exponent groups
+(``_exponent_groups``, cached per trace cycles and distinct swap
+patterns): the rows of their order, all of them around one trace cycle and
+the connected ones around two, grouped by their vector of j-orbits and
+each pattern's orbits.  A mixed level walks its radix^m grid once, chunk
+by chunk, on the letters reduced to that radix, and counts every row from
+the histogram of its points' agreement masks (``perms.count_pairing_rows``).
+A word keeps the count of every row of its order (``WickWord.row_counts``,
+filled by the first pairing counted); ``exact_trace_covariance``, the one
+sum over two trace cycles, sums its connected rows group by group.  Words
+of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed
+level, L and g the lcm and gcd of the block sizes inside it, whatever M
+is; divisor-chain words build no grid.  A word with a ``D(file)``,
 ``P(file)``, composition or table letter is one mixed level of radix M.
 The enumeration budget charges the sum of the mixed levels' grids once for
 each pairing summed (an upper bound on the pass's mask tests), checked
-before any count.  A moment's word has
-at most ``MAX_WORD_LEN`` = 6 letters; a covariance's two words together are
-held to the pairing enumeration's cap, ``partitions.MAX_PAIRING_ORDER`` = 8
-letters.  These caps and the table cap have no override.
+before any count.  A moment's word, or a covariance's two words together,
+are held to the pairing cap, ``partitions.MAX_PAIRING_ORDER`` = 8 letters.
+This cap and the table cap have no override.
 
 ``count_admissible`` has three methods: "auto" (the digit levels; the only
 one the moments and the covariance use), and two references the levels are
@@ -75,7 +75,6 @@ from .perms import (
     MatrixShape,
     MixedLevel,
     PartialTranspose,
-    ResourceLimitError,
     Side,
     _iter_var_grid,
     check_budget,
@@ -87,8 +86,16 @@ from .perms import (
 
 #: default refusal threshold for enumeration grid sizes
 DEFAULT_BUDGET = 2**32
-#: cap on the length of a moment's word (pairing count grows like m!)
-MAX_WORD_LEN = 6
+
+
+class _cached(cached_property):
+    """``cached_property`` without Python < 3.12's first-access lock (1 us a cumulant subword)."""
+
+    def __get__(self, word, owner=None):
+        if word is None:
+            return self
+        value = word.__dict__[self.attrname] = self.func(word)
+        return value
 
 
 @dataclass(frozen=True)
@@ -115,17 +122,25 @@ class WickWord:
     def subword(self, positions: tuple[int, ...]) -> "WickWord":
         return WickWord(self.shape, tuple(self.perms[t - 1] for t in positions))
 
-    @cached_property
+    @_cached
     def digit_levels(self):
         """``perms.digit_levels`` of the letters, worked out once per word."""
         return digit_levels(self.perms)
 
-    @cached_property
-    def mixed_counts(self) -> list[int]:
-        """The mixed levels' count of every row of ``_pairing_table(m)``,
-        one grid pass per level, shared by the counts of every pairing."""
-        mixed = [level for level in self.digit_levels if type(level) is MixedLevel]
-        return _mixed_row_counts(mixed, _cyclic_arg_spec(self.m), _pairing_table(self.m).fm)
+    @_cached
+    def row_counts(self) -> list[int]:
+        """#A of every row of ``_pairing_table(m)``, shared by the counts of
+        every pairing: its exponent group's P^(j-orbits) times each swap
+        pattern's radix^orbits, times the row's count on each mixed level
+        (one grid pass per level)."""
+        patterns, radices, mixed = _split_levels(self.digit_levels)
+        groups = _exponent_groups((self.m,), patterns)
+        bases = [self.shape.P] + radices
+        values = [math.prod(map(pow, bases, exponents)) for exponents in groups.exponents]
+        counts = list(map(values.__getitem__, groups.group.tolist()))
+        if mixed:  # the arguments are built only for a grid pass
+            counts = _times_mixed_counts(counts, mixed, _cyclic_arg_spec(self.m), groups.fm)
+        return counts
 
 
 @dataclass
@@ -206,26 +221,22 @@ def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarra
     return _orbits(_pairing_table(sum(cycles)).fm, cycles, swaps)
 
 
-def _keep_swap_orbits(levels, cycles):
-    """(radix, ``_level_orbits`` table) of each keep/swap level, and the mixed levels."""
-    tables = [(level[1], _level_orbits(cycles, level[2]))
-              for level in levels if type(level) is not MixedLevel]
-    return tables, [level for level in levels if type(level) is MixedLevel]
+def _split_levels(levels):
+    """The keep/swap ``levels``' distinct swap patterns, sorted, each one's radix
+    (the product of its levels', which share its orbits), and the mixed levels."""
+    radices, mixed = {}, []
+    for level in levels:
+        if type(level) is MixedLevel:
+            mixed.append(level)
+        else:
+            radices[level[2]] = radices.get(level[2], 1) * level[1]
+    patterns = tuple(sorted(radices))
+    return patterns, list(map(radices.__getitem__, patterns)), mixed
 
 
-def _row_count(P: int, table: _PairingTable, row: int, tables) -> int:
-    """P^(j-orbits) times radix^(free orbits) of each keep/swap level's
-    ``tables`` at one pairing's row."""
-    count = P ** int(table.j_orbits[row])
-    for radix, orbits in tables:
-        count *= radix ** int(orbits[row])
-    return count
-
-
-def _mixed_row_counts(mixed, arg_spec, fm) -> list[int]:
-    """Each row's count on the ``mixed`` levels: the product of their
-    ``perms.count_pairing_rows`` vectors, as Python ints."""
-    counts = [1] * len(fm)
+def _times_mixed_counts(counts: list[int], mixed, arg_spec, fm) -> list[int]:
+    """``counts``, one per row of the factor maps ``fm``, times each
+    ``mixed`` level's ``perms.count_pairing_rows`` vector, as Python ints."""
     for level in mixed:
         counts = [a * b for a, b in zip(counts, count_pairing_rows(level, arg_spec, fm).tolist())]
     return counts
@@ -282,14 +293,13 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     Methods: "auto" counts the i-tuples on the word's digit levels; "fast"
     enumerates the whole i-grid; both multiply by P^(number of j-orbits).
     "naive" walks the i-grid and the j-grid chunk by chunk and tests every
-    Wick pair on them directly.  "auto" reads the row of its order's pairing
-    table and a mixed level's count from the word's ``mixed_counts``, which
-    the first count fills for all m! pairings, so ``budget`` charges it m!
-    times the sum of radix^m over the mixed levels (0, and never refused,
-    for a divisor-chain word).  "fast", "naive" and "auto" above
-    ``partitions.MAX_PAIRING_ORDER`` letters count the one pairing, take
-    its j-orbits from ``_j_orbit_count`` and are charged M^m, (M P)^m and
-    that sum.
+    Wick pair on them directly.  "auto" reads the pairing's row of the
+    word's ``row_counts``, which the first count fills for all m! pairings,
+    so ``budget`` charges it m! times the sum of radix^m over the mixed
+    levels (0, and never refused, for a divisor-chain word).  "fast",
+    "naive" and "auto" above ``partitions.MAX_PAIRING_ORDER`` letters count
+    the one pairing, take its j-orbits from ``_j_orbit_count`` and are
+    charged M^m, (M P)^m and that sum.
     """
     m = word.m
     if pairing.m != m:
@@ -303,13 +313,7 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     if per_pairing:  # the whole i-grid, or no table of this order
         return P ** _j_orbit_count(pairing) * _count_constrained_i(
             levels, _factor_pairs(pairing), _cyclic_arg_spec(m))
-    table = _pairing_table(m)
-    row = table.row[pairing.partner]
-    tables, mixed = _keep_swap_orbits(levels, (m,))
-    count = _row_count(P, table, row, tables)
-    if mixed:
-        count *= word.mixed_counts[row]
-    return count
+    return word.row_counts[_pairing_table(m).row[pairing.partner]]
 
 
 def _method_levels(word: WickWord, method: str) -> list:
@@ -352,17 +356,13 @@ def exact_mixed_moment(word: WickWord,
                        budget: int | None = DEFAULT_BUDGET) -> RationalMomentReport:
     """E tr(W^{sigma_1} ... W^{sigma_m}) as an exact rational, per pairing.
 
-    The m! pairings share the word's ``mixed_counts``; ``budget`` is checked
-    once, before any count, against m! times the grids.
+    The m! pairings read the word's ``row_counts``.  More than
+    ``partitions.MAX_PAIRING_ORDER`` letters are refused by the pairing
+    enumeration; ``budget`` is checked once, before any count, against m!
+    times the grids.
     """
-    m = word.m
-    if m > MAX_WORD_LEN:
-        cost = math.factorial(m)
-        raise ResourceLimitError(
-            f"{m} letters have {m}! = {cost} pairings, over the word-length cap of "
-            f"{MAX_WORD_LEN} letters", cost)
-    pairings = enumerate_bipartite_pairings(m)
-    check_budget(word.digit_levels, m, budget, len(pairings))
+    pairings = enumerate_bipartite_pairings(word.m)
+    check_budget(word.digit_levels, word.m, budget, len(pairings))
     counts = {pi: count_admissible(pi, word, budget=None) for pi in pairings}
     return RationalMomentReport(word=word, tuple_counts=counts)
 
@@ -389,17 +389,20 @@ def _connected_rows(m: int, r: int) -> np.ndarray:
 
 
 class _ExponentGroups:
-    """The connected rows of two trace cycles grouped by exponent vector.
+    """The rows of one or two trace cycles grouped by exponent vector.
 
-    ``fm`` holds the factor maps of ``_connected_rows(m, r)``; row k's
-    exponent vector is its j-orbits, then its ``_level_orbits`` under each
-    of the swap ``patterns``.  ``exponents`` lists the distinct vectors,
-    ``group[k]`` is row k's index among them and ``sizes`` counts each
-    group's rows.  Nothing here depends on M, P, a radix or a letter.
+    ``fm`` holds the factor maps of the rows: every row of
+    ``_pairing_table(m)`` for one cycle (m,), and ``_connected_rows(m, r)``
+    for two cycles (m, r).  Row k's exponent vector is its j-orbits, then
+    its ``_level_orbits`` under each of the swap ``patterns``.
+    ``exponents`` lists the distinct vectors, ``group[k]`` is row k's index
+    among them and ``sizes`` counts each group's rows.  Nothing here
+    depends on M, P, a radix or a letter.
     """
 
-    def __init__(self, cycles: tuple[int, int], patterns: tuple[tuple[bool, ...], ...]):
-        table, rows = _pairing_table(sum(cycles)), _connected_rows(*cycles)
+    def __init__(self, cycles: tuple[int, ...], patterns: tuple[tuple[bool, ...], ...]):
+        table = _pairing_table(sum(cycles))
+        rows = slice(None) if len(cycles) == 1 else _connected_rows(*cycles)
         self.fm = table.fm[rows]
         columns = [table.j_orbits] + [_level_orbits(cycles, swaps) for swaps in patterns]
         exponents, group = np.unique(np.stack(columns, axis=1)[rows], axis=0,
@@ -410,7 +413,7 @@ class _ExponentGroups:
 
 
 @lru_cache(maxsize=None)
-def _exponent_groups(cycles: tuple[int, int],
+def _exponent_groups(cycles: tuple[int, ...],
                      patterns: tuple[tuple[bool, ...], ...]) -> _ExponentGroups:
     return _ExponentGroups(cycles, patterns)
 
@@ -435,22 +438,17 @@ def exact_trace_covariance(word1: WickWord, word2: WickWord,
     m, r = word1.m, word2.m
     K, M, P = m + r, word1.shape.M, word1.shape.P
     levels = digit_levels(word1.perms + word2.perms)
-    radices, mixed = {}, []
-    for level in levels:
-        if type(level) is MixedLevel:
-            mixed.append(level)
-        else:
-            radices[level[2]] = radices.get(level[2], 1) * level[1]
-    patterns = tuple(sorted(radices))
+    patterns, radices, mixed = _split_levels(levels)
     groups = _exponent_groups((m, r), patterns)
     check_budget(levels, K, budget, len(groups.group))
     sizes = groups.sizes
     if mixed:
         sizes = [0] * len(sizes)
         arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
-        for g, n in zip(groups.group.tolist(), _mixed_row_counts(mixed, arg_spec, groups.fm)):
+        counts = _times_mixed_counts([1] * len(groups.group), mixed, arg_spec, groups.fm)
+        for g, n in zip(groups.group.tolist(), counts):
             sizes[g] += n
-    bases = [P] + [radices[swaps] for swaps in patterns]
+    bases = [P] + radices
     total = sum(math.prod(map(pow, bases, exponents)) * n
                 for exponents, n in zip(groups.exponents, sizes))
     return Fraction(total, M**K)

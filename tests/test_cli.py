@@ -210,10 +210,14 @@ def test_exit_codes(capsys):
     # a divisor-chain word takes the digit path and builds no grid
     code = cli.main(["covariance", "--M", "256", "--word1", "I,I,I", "--word2", "I,I,I"])
     assert code == 0
-    # the length caps: 6 letters for a moment, 8 in all for a covariance
-    assert cli.main(["moment", "--M", "4", "--word", "I,I,I,I,I,I,I"]) == 3
-    assert ("7 letters have 7! = 5040 pairings, over the word-length cap of 6 letters"
-            in capsys.readouterr().err)
+    # the length cap: 8 letters for a moment or a cumulant, and in all for a
+    # covariance
+    assert cli.main(["moment", "--M", "8", "--word", ",".join(["G(4,2)"] * 7)]) == 0
+    capsys.readouterr()
+    for command in ("moment", "cumulant"):
+        assert cli.main([command, "--M", "4", "--word", ",".join("I" * 9)]) == 3
+        assert ("9 letters have 9! = 362880 pairings, over the pairing enumeration cap "
+                "of 8 letters" in capsys.readouterr().err)
     five = "I,I,I,I,I"
     assert cli.main(["covariance", "--M", "4", "--word1", five, "--word2", "I,I,I,I"]) == 3
     assert "9! = 362880 pairings" in capsys.readouterr().err
@@ -262,6 +266,16 @@ def test_readme_budget_refusal_is_what_the_cli_prints(capsys):
                          "--word2", "I,I")
     assert (code, out) == (3, "")
     assert err == f"resource refusal: enumeration cost {message} exceeds budget {2**32}\n"
+
+
+def test_readme_pairing_cap_refusal_is_what_the_cli_prints(capsys):
+    # README quotes this refusal for a word over the pairing cap
+    message = "9 letters have 9! = 362880 pairings, over the pairing enumeration cap of 8 letters"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`{message}`" in " ".join(readme.split())
+    code, out, err = run(capsys, "moment", "--M", "4", "--word", ",".join("I" * 9))
+    assert (code, out) == (3, "")
+    assert err == f"resource refusal: {message}\n"
 
 
 def test_two_radix_6_levels_covariance(capsys):
@@ -507,6 +521,17 @@ def test_selftest_subset(capsys):
     assert code == 0
     assert "criterion 9: PASS" in out
     assert cli.main(["selftest", "--criteria", "12"]) == 2
+
+
+def test_selftest_refuses_an_empty_criteria_list_or_item(capsys):
+    # an empty list ran the deterministic suite, and an empty item printed
+    # int()'s message; both now exit 2 naming what is empty, and run nothing
+    for value, message in (("", "--criteria is empty"), (" ", "--criteria is empty"),
+                           ("1,,2", "--criteria '1,,2' has an empty item"),
+                           ("9,", "--criteria '9,' has an empty item")):
+        code, out, err = run(capsys, "selftest", "--criteria", value)
+        assert (code, out) == (2, ""), value
+        assert err.startswith(f"error: {message}"), (value, err)
 
 
 def test_selftest_is_imported_by_its_command_only():

@@ -156,6 +156,67 @@ def test_mc_cumulant_jackknife():
     assert abs(rep3.mean - exact3) <= 5 * rep3.std_error
 
 
+def two_pass_cumulant(word, config):
+    """The point estimate and the jackknife as two recursions, on the means
+    and on the leave-one-out means, with the subwords a recording pass lists."""
+    positions = tuple(range(1, word.m + 1))
+    subwords = sorted(_recorded_subwords(word.m))
+    stats = mc._statistics_per_sample([word.subword(w) for w in subwords], config) / word.shape.M
+    n = config.samples
+    sums = [math.fsum(row.tolist()) for row in stats]
+    point = float(pts.moments_to_free_cumulants(
+        {w: S / n for w, S in zip(subwords, sums)}.__getitem__, positions))
+    loo = {w: (S - row) / (n - 1) for w, S, row in zip(subwords, sums, stats)}
+    theta = np.asarray(pts.moments_to_free_cumulants(loo.__getitem__, positions), dtype=float)
+    se = math.sqrt((n - 1) / n * float(np.sum((theta - theta.mean()) ** 2)))
+    return point, se
+
+
+def _recorded_subwords(m):
+    subwords = []
+    pts.moments_to_free_cumulants(lambda s: subwords.append(s) or 0.0, tuple(range(1, m + 1)))
+    return subwords
+
+
+def test_cumulant_needs_every_nonempty_subword():
+    # each subset of the positions is a block of a noncrossing partition
+    # (the other positions singletons), so the recursion asks for all of them
+    for m in range(1, 9):
+        recorded = _recorded_subwords(m)
+        assert len(recorded) == len(set(recorded)) == 2**m - 1
+        assert all(list(w) == sorted(set(w)) for w in recorded)
+
+
+def test_cumulant_point_and_jackknife_in_one_recursion():
+    # one recursion over vectors of n + 1 means gives the bits of two
+    # recursions, on the means and on the leave-one-out means
+    g24 = PartialTranspose(2, 4)
+    cases = [(word(8, 8, g24, Transpose(8), g24, PartialTranspose(4, 2, Side.LEFT)), 150, 7),
+             (word(6, 4, PartialTranspose(3, 2), Transpose(6), PartialTranspose(2, 3)), 500, 11),
+             (word(4, 4, *(PartialTranspose(2, 2),) * 5), 40, 1),
+             (word(8, 8, g24, PartialTranspose(4, 2)), 2, 3)]
+    for w, samples, seed in cases:
+        cfg = SamplerConfig(w.shape, samples, seed)
+        rep = mc.mc_mixed_cumulant(w, cfg)
+        assert (rep.mean, rep.std_error) == two_pass_cumulant(w, cfg), w.perms
+
+
+def test_cumulant_of_one_sample_has_no_standard_error():
+    w = word(8, 8, PartialTranspose(2, 4), PartialTranspose(4, 2))
+    cfg = SamplerConfig(w.shape, 1, 3)
+    rep = mc.mc_mixed_cumulant(w, cfg)
+    (x1, x2, x12), = (mc._statistics_per_sample([w.subword(s) for s in ((1,), (2,), (1, 2))],
+                                                cfg) / 8).T.tolist()
+    assert rep.mean == x12 - x1 * x2 and math.isnan(rep.std_error)
+
+
+def test_cumulant_over_the_nc_cap_is_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(mc, "sample_wishart", lambda config: pytest.fail("drew"))
+    w = word(4, 4, *(Identity(4),) * (pts.MAX_NC_ORDER + 1))
+    with pytest.raises(pm.ResourceLimitError, match="NC enumeration cap 10"):
+        mc.mc_mixed_cumulant(w, SamplerConfig(w.shape, 5, 1))
+
+
 def test_fit_variance_slope():
     # exact power law is recovered
     fit = mc.fit_variance_slope([8, 16, 32], [1 / 64, 1 / 256, 1 / 1024])
@@ -334,9 +395,7 @@ def _criterion5_words():
 
 def _cumulant_subwords(w):
     # the subwords mc_mixed_cumulant estimates, in its order
-    subwords = []
-    pts.moments_to_free_cumulants(lambda s: subwords.append(s) or 0.0, tuple(range(1, w.m + 1)))
-    return [w.subword(s) for s in sorted(subwords)]
+    return [w.subword(s) for s in sorted(_recorded_subwords(w.m))]
 
 
 def _evaluator_cases():

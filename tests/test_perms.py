@@ -135,6 +135,23 @@ def test_from_mapping_refuses_entries_outside_the_grid():
             pm.TablePermutation.from_mapping(2, mapping)
 
 
+def test_empty_point_permutation_is_refused():
+    # Identity(0) is refused; an empty theta was accepted with M = 0
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        Identity(0)
+    with pytest.raises(ValueError, match=r"with M >= 1"):
+        pm.InducedDiagonal([])
+
+
+def test_empty_tables_are_refused():
+    # 0 x 0 tables failed inside numpy (a zero-size reduction in the
+    # bijection check); they are refused before it, from arrays or a mapping
+    with pytest.raises(ValueError, match=r"M x M arrays of equal shape, M >= 1"):
+        pm.TablePermutation(np.zeros((0, 0)), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"M x M arrays of equal shape, M >= 1"):
+        pm.TablePermutation.from_mapping(0, {})
+
+
 def test_is_symmetric():
     for M in (4, 6, 12):
         for g in divisor_transposes(M) + divisor_transposes(M, Side.LEFT):

@@ -152,9 +152,10 @@ def test_method_agreement_and_budget():
     with pytest.raises(ResourceLimitError):
         wk.count_admissible(pts.delta(2), word(70000, 4, *(Identity(70000),) * 2),
                             method="naive")
-    with pytest.raises(ResourceLimitError) as info:
-        wk.exact_mixed_moment(word(4, 4, *(Identity(4),) * 7))
-    assert info.value.cost == 5040  # 7! pairings
+    # a moment takes as many letters as the pairing enumeration: 8
+    with pytest.raises(ResourceLimitError, match="pairing enumeration cap of 8") as info:
+        wk.exact_mixed_moment(word(4, 4, *(Identity(4),) * 9))
+    assert info.value.cost == 362880  # 9! pairings
 
 
 def test_naive_walks_its_grids_in_chunks(monkeypatch):
@@ -532,7 +533,7 @@ def test_moment_and_covariance_share_one_grid_per_word(monkeypatch):
     w = word(M, 3, PartialTranspose(4, 3), PartialTranspose(3, 4), PartialTranspose(6, 2))
     auto = wk.exact_mixed_moment(w)
     assert auto.tuple_counts == fast_counts(w)
-    assert len(passes) == 1 and len(w.mixed_counts) == 6
+    assert len(passes) == 1 and len(w.row_counts) == 6
     assert wk.exact_mixed_moment(w).tuple_counts == auto.tuple_counts
     assert len(passes) == 1
     w2 = word(M, 3, PartialTranspose(4, 3, Side.LEFT))
@@ -632,13 +633,24 @@ def test_orbit_tables_match_enumeration_exhaustive():
                                                      equalities)
 
 
-def auto_row_counts(perms, cycles):
-    """The i-count of every pairing of order K as the Wick sums take it: the
-    keep/swap levels' orbit tables times the mixed levels' one pass."""
-    tables, mixed = wk._keep_swap_orbits(pm.digit_levels(perms), cycles)
+def per_row_product(P, perms, cycles, rows):
+    """#A of each of the ``rows`` of the order's pairing table as one product
+    per row, no groups: P^(j-orbits), radix^orbits of each keep/swap level
+    (its ``_level_orbits`` table) and each mixed level's one-pass count."""
     table = wk._pairing_table(len(perms))
-    counts = wk._mixed_row_counts(mixed, cyclic_spec(cycles), table.fm)
-    return [wk._row_count(1, table, row, tables) * n for row, n in enumerate(counts)]
+    counts = [P ** j for j in table.j_orbits[rows].tolist()]
+    for level in pm.digit_levels(perms):
+        if isinstance(level, pm.MixedLevel):
+            factors = pm.count_pairing_rows(level, cyclic_spec(cycles), table.fm[rows]).tolist()
+        else:
+            factors = [level[1] ** n for n in wk._level_orbits(cycles, level[2])[rows].tolist()]
+        counts = [a * b for a, b in zip(counts, factors)]
+    return counts
+
+
+def auto_row_counts(perms, cycles):
+    """The i-count of every pairing of order K, level by level."""
+    return per_row_product(1, perms, cycles, np.arange(math.factorial(len(perms))))
 
 
 def test_pairing_row_counts_match_enumeration_exhaustive():
@@ -656,6 +668,8 @@ def test_pairing_row_counts_match_enumeration_exhaustive():
                     counts = auto_row_counts(perms, cycles)
                     assert counts == enumerated_table_counts(cache, perms, cycles), \
                         (perms, cycles)
+                    if cycles == (K,):  # a word's rows read the same counts
+                        assert word(M, 1, *perms).row_counts == counts, perms
                     cells += len(counts)
     assert cells == 157120
     # the bitset reference is the enumeration counter's count
@@ -920,17 +934,108 @@ def test_connected_rows_couple_the_two_cycles():
 
 
 # ---------------------------------------------------------------------------
+# a word's rows: one exponent-group table for every pairing of its order
+# ---------------------------------------------------------------------------
+
+def fast_row_counts(w, rows):
+    """"fast" (the whole i-grid, pairing by pairing) at each of the ``rows``."""
+    pairings = wk._pairing_table(w.m).pairings
+    return [wk.count_admissible(pairings[row], w, method="fast") for row in rows]
+
+
+def whole_grid_row_counts(w):
+    """#A of every row with the whole i-grid as one mixed level of radix M,
+    counted for all rows in one ``count_pairing_rows`` pass."""
+    table = wk._pairing_table(w.m)
+    level = pm.MixedLevel(1, w.shape.M, w.perms)
+    counts = pm.count_pairing_rows(level, wk._cyclic_arg_spec(w.m), table.fm).tolist()
+    return [w.shape.P ** j * n for j, n in zip(table.j_orbits.tolist(), counts)]
+
+
+def test_row_counts_match_fast_exhaustive():
+    # every word over I, T, G(2,2) and LG(2,2) at M = 4: up to four letters
+    # on every row against "fast"; five letters on every row against the
+    # whole grid's one pass, and a seeded sample of them against "fast"
+    # (all 122,880 rows of five letters would take a minute per P).  Then
+    # up to four letters over I, T, G(3,2) and LG(3,2) at M = 6, whose two
+    # swap patterns have the radices 2 and 3
+    alphabet = chain_letters(4, (2,))
+    rng = np.random.default_rng(18)
+    for m in range(1, 5):
+        for perms in itertools.product(chain_letters(6, (2,)), repeat=m):
+            w = word(6, 4, *perms)
+            assert w.row_counts == fast_row_counts(w, range(math.factorial(m))), perms
+    for P in (3, 4):
+        for m in range(1, 5):
+            for perms in itertools.product(alphabet, repeat=m):
+                w = word(4, P, *perms)
+                assert w.row_counts == fast_row_counts(w, range(math.factorial(m))), perms
+        words = [word(4, P, *perms) for perms in itertools.product(alphabet, repeat=5)]
+        for w in words:
+            assert w.row_counts == whole_grid_row_counts(w), w.perms
+        for k in rng.choice(len(words), 8, replace=False):
+            assert words[k].row_counts == fast_row_counts(words[k], range(120)), words[k].perms
+
+
+def test_row_counts_of_seven_and_eight_letters():
+    # orders 7 and 8, the longest words a moment takes: every word of
+    # seven I and T letters at M = 2 and a seeded sample of eight, on every
+    # row against the whole grid; then sampled rows of a mixed word at M = 6
+    # against "fast"
+    letters = (Identity(2), Transpose(2))
+    for perms in itertools.product(letters, repeat=7):
+        w = word(2, 3, *perms)
+        assert w.row_counts == whole_grid_row_counts(w), perms
+    words = list(itertools.product(letters, repeat=8))
+    rng = np.random.default_rng(8)
+    for k in [0, len(words) - 1] + rng.choice(len(words), 14, replace=False).tolist():
+        w = word(2, 3, *words[k])
+        assert w.row_counts == whole_grid_row_counts(w), words[k]
+    w = word(6, 2, PartialTranspose(3, 2), PartialTranspose(2, 3), Transpose(6),
+             PartialTranspose(3, 2, Side.LEFT), Identity(6), PartialTranspose(2, 3, Side.LEFT),
+             PartialTranspose(3, 2))
+    assert has_mixed_level(w.perms)
+    rows = rng.choice(math.factorial(7), 12, replace=False)
+    assert [w.row_counts[row] for row in rows] == fast_row_counts(w, rows)
+
+
+def test_a_word_takes_one_group_entry_and_one_pass_per_mixed_level(monkeypatch):
+    # sizes {2, 3} and {12, 18} at M = 72: two mixed levels of radix 6 and a
+    # keep level of radix 2.  The first count makes one grid pass per mixed
+    # level and reads one exponent-group entry; the moment's other counts
+    # read the same rows, and a word of the same swap patterns at M = 144
+    # reuses the entry with passes of its own
+    passes = []
+
+    def count_pairing_rows(level, *args):
+        passes.append(level)
+        return pm.count_pairing_rows(level, *args)
+
+    monkeypatch.setattr(wk, "count_pairing_rows", count_pairing_rows)
+    wk._exponent_groups.cache_clear()
+    pairings = pts.enumerate_bipartite_pairings(4)
+    for M, P in ((72, 5), (144, 7)):
+        w = word(M, P, *(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES))
+        mixed = [level for level in w.digit_levels if isinstance(level, pm.MixedLevel)]
+        assert len(mixed) == 2 and len(w.digit_levels) == 3
+        passes.clear()
+        counts = [wk.count_admissible(pi, w) for pi in pairings]
+        assert passes == mixed
+        assert counts == w.row_counts == per_row_product(P, w.perms, (4,), np.arange(24))
+        assert wk.exact_mixed_moment(w).tuple_counts == dict(zip(pairings, counts))
+        assert passes == mixed
+    info = wk._exponent_groups.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
 # the covariance's exponent groups against the per-row product
 # ---------------------------------------------------------------------------
 
 def per_row_covariance(w1, w2):
-    """Cov(Tr, Tr) as the sum over the connected rows of ``_row_count``
-    times the row's mixed count: one product per row, no groups."""
+    """Cov(Tr, Tr) as the sum of ``per_row_product`` over the connected rows."""
     m, r, (M, P) = w1.m, w2.m, (w1.shape.M, w1.shape.P)
-    table, rows = wk._pairing_table(m + r), wk._connected_rows(m, r)
-    tables, mixed = wk._keep_swap_orbits(pm.digit_levels(w1.perms + w2.perms), (m, r))
-    counts = wk._mixed_row_counts(mixed, cyclic_spec((m, r)), table.fm[rows])
-    total = sum(wk._row_count(P, table, row, tables) * n for row, n in zip(rows.tolist(), counts))
+    total = sum(per_row_product(P, w1.perms + w2.perms, (m, r), wk._connected_rows(m, r)))
     return Fraction(total, M ** (m + r))
 
 
