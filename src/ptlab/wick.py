@@ -24,23 +24,30 @@ keep/swap level contributes radix^(free digit orbits).  Those orbits depend
 only on the pairing, the trace cycles and the level's swap pattern, so
 ``_orbits`` works them out for every pairing of the order at once, and
 ``_level_orbits`` keeps the table (one int8 per pairing) per (cycles,
-swaps) for the process.  The j-orbits are ``_orbits`` with every letter a
-cycle of its own and no swap; they are a column of the one
-``_PairingTable`` per order, beside the pairings.  Pinned endpoints
-(``segment_sum``) and the "fast" method count on
-``perms.count_on_digit_levels``, the counter the permutation statistics
-share, and read P's exponent from ``_orbits`` of the one pairing.
+swaps).  The j-orbits are ``_orbits`` with every letter a cycle of its own
+and no swap; they are a column of the one ``_PairingTable`` per order,
+beside the pairings.  Pinned endpoints (``segment_sum``) and the "fast"
+method count on ``perms.count_on_digit_levels``, the counter the
+permutation statistics share, and read P's exponent from ``_orbits`` of
+the one pairing.
 
 A moment and a covariance read one table of exponent groups
-(``_exponent_groups``, cached per trace cycles and distinct swap
-patterns): the rows of their order, all of them around one trace cycle and
-the connected ones around two, grouped by their vector of j-orbits and
-each pattern's orbits.  A mixed level walks its radix^m grid once, chunk
-by chunk, on the letters reduced to that radix, and counts every row from
-the histogram of its points' agreement masks (``perms.count_pairing_rows``).
-A word keeps the count of every row of its order (``WickWord.row_counts``,
-filled by the first pairing counted); ``exact_trace_covariance``, the one
-sum over two trace cycles, sums its connected rows group by group.  Words
+(``_exponent_groups``, kept per trace cycles and distinct swap patterns):
+the rows of their order, all of them around one trace cycle and the
+connected ones around two, grouped by their vector of j-orbits and each
+pattern's orbits.  The levels of a tuple of ``I``, ``T``, ``G`` and
+``LG`` letters and their split into swap patterns, radices and mixed
+levels are kept too (``_letter_levels``), levels only, never a count: a
+word reads them once, a covariance reads its joined letters', and neither
+the budget check nor a mixed level's grid pass is skipped.  Each of these
+three caches keeps its ``CACHE_ENTRIES`` latest entries; the pairing
+tables, one per order, are kept for the process.  A mixed level walks its
+radix^m grid once, chunk by chunk, on the letters reduced to that radix,
+and counts every row from the histogram of its points' agreement masks
+(``perms.count_pairing_rows``).  A word keeps the count of every row of
+its order (``WickWord.row_counts``, filled by the first pairing counted);
+``exact_trace_covariance``, the one sum over two trace cycles, sums its
+connected rows group by group.  Words
 of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed
 level, L and g the lcm and gcd of the block sizes inside it, whatever M
 is; divisor-chain words build no grid.  A word with a ``D(file)``,
@@ -65,6 +72,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,10 +80,12 @@ from . import partitions as pts
 from .partitions import Pairing, enumerate_bipartite_pairings
 from .perms import (
     EntryPermutation,
+    Identity,
     MatrixShape,
     MixedLevel,
     PartialTranspose,
     Side,
+    Transpose,
     _iter_var_grid,
     check_budget,
     count_on_digit_levels,
@@ -86,6 +96,10 @@ from .perms import (
 
 #: default refusal threshold for enumeration grid sizes
 DEFAULT_BUDGET = 2**32
+
+#: entries kept by each cache whose keys grow with the input: the letter
+#: tuples' levels, the level orbit tables and the exponent groups
+CACHE_ENTRIES = 256
 
 
 class _cached(cached_property):
@@ -123,9 +137,15 @@ class WickWord:
         return WickWord(self.shape, tuple(self.perms[t - 1] for t in positions))
 
     @_cached
-    def digit_levels(self):
-        """``perms.digit_levels`` of the letters, worked out once per word."""
-        return digit_levels(self.perms)
+    def level_split(self) -> "LevelSplit":
+        """The letters' digit levels and their split, read once per word
+        (``_letter_levels``)."""
+        return _letter_levels(self.perms)
+
+    @property
+    def digit_levels(self) -> tuple:
+        """``perms.digit_levels`` of the letters."""
+        return self.level_split.levels
 
     @_cached
     def row_counts(self) -> list[int]:
@@ -133,9 +153,9 @@ class WickWord:
         every pairing: its exponent group's P^(j-orbits) times each swap
         pattern's radix^orbits, times the row's count on each mixed level
         (one grid pass per level)."""
-        patterns, radices, mixed = _split_levels(self.digit_levels)
+        _, patterns, radices, mixed = self.level_split
         groups = _exponent_groups((self.m,), patterns)
-        bases = [self.shape.P] + radices
+        bases = (self.shape.P,) + radices
         values = [math.prod(map(pow, bases, exponents)) for exponents in groups.exponents]
         counts = list(map(values.__getitem__, groups.group.tolist()))
         if mixed:  # the arguments are built only for a grid pass
@@ -210,20 +230,30 @@ def _orbits(fm: np.ndarray, cycles: tuple[int, ...], swaps: tuple[bool, ...]) ->
     return orbits
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarray:
     """``_orbits`` of a keep/swap level for every pairing of order sum(cycles).
 
     The level contributes radix^orbits, for any M and radix, so the table is
-    kept per (cycles, swaps); there are at most 2^K swap patterns per cycle
-    split.
+    kept per (cycles, swaps), for the ``CACHE_ENTRIES`` latest; there are
+    2^K swap patterns per cycle split.
     """
     return _orbits(_pairing_table(sum(cycles)).fm, cycles, swaps)
 
 
-def _split_levels(levels):
-    """The keep/swap ``levels``' distinct swap patterns, sorted, each one's radix
-    (the product of its levels', which share its orbits), and the mixed levels."""
+class LevelSplit(NamedTuple):
+    """A letter tuple's ``perms.digit_levels``, its keep/swap levels' distinct
+    swap ``patterns``, sorted, each one's radix (the product of its levels',
+    which share its orbits) and its ``mixed`` levels."""
+
+    levels: tuple
+    patterns: tuple
+    radices: tuple
+    mixed: tuple
+
+
+def _split_levels(levels) -> LevelSplit:
+    """The ``LevelSplit`` of the digit ``levels``."""
     radices, mixed = {}, []
     for level in levels:
         if type(level) is MixedLevel:
@@ -231,7 +261,28 @@ def _split_levels(levels):
         else:
             radices[level[2]] = radices.get(level[2], 1) * level[1]
     patterns = tuple(sorted(radices))
-    return patterns, list(map(radices.__getitem__, patterns)), mixed
+    return LevelSplit(tuple(levels), patterns, tuple(map(radices.__getitem__, patterns)),
+                      tuple(mixed))
+
+
+_CHAIN_KINDS = frozenset((Identity, Transpose, PartialTranspose))
+
+
+def _letter_levels(perms: tuple) -> LevelSplit:
+    """The ``LevelSplit`` of the letters.  A tuple of ``I``, ``T``, ``G`` and
+    ``LG`` letters reads ``_chain_levels``; any other is one mixed level of
+    radix M, returned at once without hashing its letters (a table letter's
+    key holds its M x M tables)."""
+    if _CHAIN_KINDS.issuperset(map(type, perms)):
+        return _chain_levels(perms)
+    return _split_levels(digit_levels(perms))
+
+
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _chain_levels(perms: tuple) -> LevelSplit:
+    """The ``LevelSplit`` of a chain-letter tuple, kept for the
+    ``CACHE_ENTRIES`` latest tuples: the levels only, never a count."""
+    return _split_levels(digit_levels(perms))
 
 
 def _times_mixed_counts(counts: list[int], mixed, arg_spec, fm) -> list[int]:
@@ -388,31 +439,50 @@ def _connected_rows(m: int, r: int) -> np.ndarray:
     return np.flatnonzero((_pairing_table(m + r).fm[:, :m] >= m).any(axis=1))
 
 
+@lru_cache(maxsize=None)
+def _cycle_rows(cycles: tuple[int, ...]) -> tuple:
+    """The rows a sum around the trace ``cycles`` takes, and their factor
+    maps: every row of ``_pairing_table(m)`` for one cycle (m,), the
+    ``_connected_rows(m, r)`` for two (m, r).  Kept per cycles, so the
+    exponent groups of every swap pattern share them."""
+    fm = _pairing_table(sum(cycles)).fm
+    if len(cycles) == 1:
+        return slice(None), fm
+    rows = _connected_rows(*cycles)
+    return rows, fm[rows]
+
+
 class _ExponentGroups:
     """The rows of one or two trace cycles grouped by exponent vector.
 
-    ``fm`` holds the factor maps of the rows: every row of
-    ``_pairing_table(m)`` for one cycle (m,), and ``_connected_rows(m, r)``
-    for two cycles (m, r).  Row k's exponent vector is its j-orbits, then
-    its ``_level_orbits`` under each of the swap ``patterns``.
-    ``exponents`` lists the distinct vectors, ``group[k]`` is row k's index
-    among them and ``sizes`` counts each group's rows.  Nothing here
-    depends on M, P, a radix or a letter.
+    ``fm`` holds the factor maps of the rows (``_cycle_rows``).  Row k's
+    exponent vector is its j-orbits, then its ``_level_orbits`` under each
+    of the swap ``patterns``.  ``exponents`` lists the distinct
+    vectors, in lexicographic order, ``group[k]`` is row k's index among
+    them (in the smallest integer type that holds it) and ``sizes`` counts
+    each group's rows.  Nothing here depends on M, P, a radix or a letter.
     """
 
     def __init__(self, cycles: tuple[int, ...], patterns: tuple[tuple[bool, ...], ...]):
-        table = _pairing_table(sum(cycles))
-        rows = slice(None) if len(cycles) == 1 else _connected_rows(*cycles)
-        self.fm = table.fm[rows]
-        columns = [table.j_orbits] + [_level_orbits(cycles, swaps) for swaps in patterns]
-        exponents, group = np.unique(np.stack(columns, axis=1)[rows], axis=0,
-                                     return_inverse=True)
-        self.exponents = [tuple(e) for e in exponents.tolist()]
-        self.group = group.ravel()
-        self.sizes = np.bincount(self.group, minlength=len(exponents)).tolist()
+        rows, self.fm = _cycle_rows(cycles)
+        columns = np.stack([_pairing_table(sum(cycles)).j_orbits] +
+                           [_level_orbits(cycles, swaps) for swaps in patterns], axis=1)[rows]
+        # every exponent lies in [0, K], so a row packs into one base-(K + 1)
+        # key, j-orbits first, and the keys sort as the rows do.  A letter
+        # switches between keep and swap only at its block size, so there
+        # are at most K + 1 patterns, and 9^10 for K = 8 fits an int64
+        base = sum(cycles) + 1
+        keys = np.zeros(len(columns), dtype=np.int64)
+        for column in columns.T:
+            keys *= base
+            keys += column
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        self.group = group.astype(np.min_scalar_type(len(first)))
+        self.exponents = [tuple(e) for e in columns[first].tolist()]
+        self.sizes = np.bincount(self.group, minlength=len(first)).tolist()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_ENTRIES)
 def _exponent_groups(cycles: tuple[int, ...],
                      patterns: tuple[tuple[bool, ...], ...]) -> _ExponentGroups:
     return _ExponentGroups(cycles, patterns)
@@ -437,8 +507,7 @@ def exact_trace_covariance(word1: WickWord, word2: WickWord,
         raise ValueError("words must share one matrix shape")
     m, r = word1.m, word2.m
     K, M, P = m + r, word1.shape.M, word1.shape.P
-    levels = digit_levels(word1.perms + word2.perms)
-    patterns, radices, mixed = _split_levels(levels)
+    levels, patterns, radices, mixed = _letter_levels(word1.perms + word2.perms)
     groups = _exponent_groups((m, r), patterns)
     check_budget(levels, K, budget, len(groups.group))
     sizes = groups.sizes
@@ -448,7 +517,7 @@ def exact_trace_covariance(word1: WickWord, word2: WickWord,
         counts = _times_mixed_counts([1] * len(groups.group), mixed, arg_spec, groups.fm)
         for g, n in zip(groups.group.tolist(), counts):
             sizes[g] += n
-    bases = [P] + radices
+    bases = (P,) + radices
     total = sum(math.prod(map(pow, bases, exponents)) * n
                 for exponents, n in zip(groups.exponents, sizes))
     return Fraction(total, M**K)

@@ -1083,7 +1083,9 @@ def test_levels_that_share_a_swap_pattern_merge(monkeypatch):
         return [cut for base, radix, swaps in pm.digit_levels(perms)
                 for cut in ((base, 2, swaps), (2 * base, radix // 2, swaps))]
 
-    monkeypatch.setattr(wk, "digit_levels", cut_levels)
+    # the covariance reads the letters' levels through the letter-tuple cache
+    monkeypatch.setattr(wk, "_chain_levels", lambda perms: wk._split_levels(cut_levels(perms)))
+    assert len(wk._letter_levels(w1.perms + w2.perms).levels) == 4
     assert wk.exact_trace_covariance(w1, w2) == expected
     info = wk._exponent_groups.cache_info()
     assert (info.misses, info.hits) == (1, 1)
@@ -1153,3 +1155,134 @@ def test_full_join_pairings_vanish_except_nu(
                 assert Vs[-1] > 0
             else:
                 assert Vs[-1] < Vs[0] and Vs[-1] <= Vs[0] / 2
+
+
+# ---------------------------------------------------------------------------
+# the caches of letter levels, orbit tables and exponent groups
+# ---------------------------------------------------------------------------
+
+def row_unique_groups(cycles, patterns):
+    """Exponents, group and sizes of the rows of ``cycles`` by a 2-D
+    ``np.unique`` over the exponent columns, row by row."""
+    table = wk._pairing_table(sum(cycles))
+    rows = slice(None) if len(cycles) == 1 else wk._connected_rows(*cycles)
+    columns = [table.j_orbits] + [wk._level_orbits(cycles, swaps) for swaps in patterns]
+    exponents, group = np.unique(np.stack(columns, axis=1)[rows], axis=0, return_inverse=True)
+    group = group.ravel()
+    return ([tuple(e) for e in exponents.tolist()], group.tolist(),
+            np.bincount(group, minlength=len(exponents)).tolist())
+
+
+def test_packed_exponent_keys_group_as_the_rows_do():
+    # orders 1-8, one and two trace cycles, random sets of up to three swap
+    # patterns, and the nine patterns of the eight sizes 2, 4, ..., 256 at
+    # M = 512 (the most columns a key packs at order 8)
+    rng = np.random.default_rng(19)
+    for K in range(1, pts.MAX_PAIRING_ORDER + 1):
+        splits = [(K,)] + [(m, K - m) for m in range(1, K)]
+        for k in range(4 if K < 8 else 2):
+            cycles = splits[k % len(splits)]
+            n = int(rng.integers(1, 4))
+            patterns = tuple(sorted({tuple((rng.random(K) < 0.5).tolist()) for _ in range(n)}))
+            groups = wk._ExponentGroups(cycles, patterns)
+            assert (groups.exponents, groups.group.tolist(), groups.sizes) == \
+                row_unique_groups(cycles, patterns), (cycles, patterns)
+    perms = tuple(PartialTranspose(512 // 2**k, 2**k) for k in range(1, 9))
+    patterns = wk._letter_levels(perms).patterns
+    assert len(patterns) == 9
+    for cycles in ((8,), (5, 3)):
+        groups = wk._ExponentGroups(cycles, patterns)
+        assert (groups.exponents, groups.group.tolist(), groups.sizes) == \
+            row_unique_groups(cycles, patterns)
+
+
+def test_caches_that_grow_with_the_input_are_bounded():
+    # more distinct keys than CACHE_ENTRIES: each cache keeps at most that
+    # many, and an evicted entry is built again, equal to the first
+    bound = wk.CACHE_ENTRIES
+    swaps = list(itertools.product((False, True), repeat=6))
+    splits = [(6,)] + [(m, 6 - m) for m in range(1, 6)]
+    keys = [(cycles, s) for cycles in splits for s in swaps]
+    letter_tuples = [perms for m in range(1, 9)
+                     for perms in itertools.product((Identity(2), Transpose(2)), repeat=m)]
+    assert min(len(keys), len(letter_tuples)) > bound
+    for cache in (wk._level_orbits, wk._exponent_groups, wk._chain_levels):
+        cache.cache_clear()
+    orbits = [wk._level_orbits(*key) for key in keys]
+    groups = [wk._exponent_groups(cycles, (s,)) for cycles, s in keys]
+    levels = [wk._letter_levels(perms) for perms in letter_tuples]
+    for cache in (wk._level_orbits, wk._exponent_groups, wk._chain_levels):
+        assert cache.cache_info().currsize == bound
+    again = wk._level_orbits(*keys[0])
+    assert again is not orbits[0] and np.array_equal(again, orbits[0])
+    again = wk._exponent_groups(keys[0][0], (keys[0][1],))
+    assert again is not groups[0]
+    assert (again.exponents, again.group.tolist(), again.sizes) == \
+        (groups[0].exponents, groups[0].group.tolist(), groups[0].sizes)
+    again = wk._letter_levels(letter_tuples[0])
+    assert again is not levels[0] and again == levels[0]
+    assert wk._chain_levels.cache_info().currsize == bound
+
+
+CACHED_SIDES = (4, 6, 8, 12, 16, 36)
+
+
+@st.composite
+def chain_letter_pair(draw):
+    M = draw(st.sampled_from(CACHED_SIDES))
+    ds = [d for d in range(2, M) if M % d == 0]
+    letters = chain_letters(M, ds)
+    K = draw(st.integers(2, 3 if M == 36 else 4))
+    m = draw(st.integers(1, K - 1))
+    perms = draw(st.lists(st.sampled_from(letters), min_size=K, max_size=K))
+    P = draw(st.integers(1, M + 3))
+    return word(M, P, *perms[:m]), word(M, P, *perms[m:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_letter_pair())
+@example((word(6, 4, PartialTranspose(3, 2)), word(6, 4, PartialTranspose(2, 3, Side.LEFT))))
+def test_cached_levels_are_the_fresh_levels(words):
+    # the cached levels and split of a chain-letter tuple against a fresh
+    # digit_levels and split; the covariance against the per-row product;
+    # a budget refusal is made again on a second call, never cached
+    w1, w2 = words
+    perms = w1.perms + w2.perms
+    fresh = wk._split_levels(pm.digit_levels(perms))
+    assert wk._letter_levels(perms) == fresh
+    assert wk._letter_levels(perms) is wk._letter_levels(perms)
+    assert w1.level_split == wk._split_levels(pm.digit_levels(w1.perms))
+    expected = per_row_covariance(w1, w2)
+    assert wk.exact_trace_covariance(w1, w2) == expected
+    K = len(perms)
+    radices = [level.radix for level in fresh.mixed]
+    if radices:
+        cost = len(wk._connected_rows(w1.m, w2.m)) * sum(x**K for x in radices)
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                wk.exact_trace_covariance(w1, w2, budget=cost - 1)
+        assert wk.exact_trace_covariance(w1, w2, budget=cost) == expected
+    else:  # a divisor chain builds no grid and is never refused
+        assert wk.exact_trace_covariance(w1, w2, budget=0) == expected
+    assert wk.exact_trace_covariance(w1, w2, budget=None) == expected
+
+
+def test_table_letters_are_never_hashed_by_a_count(monkeypatch):
+    # a word with a P(file)-style table letter is one mixed level of radix
+    # M; its moments and covariances never read the table's key
+    M = 4
+    diag = pm.InducedDiagonal([2, 1, 4, 3])
+    table = pm.TablePermutation(*(np.array(A) for A in
+                                  pm.Composition([diag, PartialTranspose(2, 2)]).image_arrays()))
+    w1 = word(M, 3, table, Transpose(M), PartialTranspose(2, 2))
+    w2 = word(M, 3, Identity(M), table)
+    calls = []
+    key = pm.TablePermutation.key
+    monkeypatch.setattr(pm.TablePermutation, "key", lambda self: calls.append(self) or key(self))
+    moments = [wk.exact_mixed_moment(w).total for w in (w1, w2, w1, w2)]
+    covariances = [wk.exact_trace_covariance(w1, w2) for _ in range(3)]
+    assert calls == []
+    assert moments[:2] == moments[2:] and len(set(covariances)) == 1
+    assert covariances[0] == per_row_covariance(w1, w2)
+    hash(table)  # the spy sees a key that is read
+    assert calls == [table]
