@@ -154,7 +154,11 @@ class EntryPermutation:
         return isinstance(other, EntryPermutation) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        # a letter never changes, so its key is hashed once, when first needed
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self._hash = hash(self.key())
+        return cached
 
 
 class Identity(EntryPermutation):

@@ -35,17 +35,22 @@ A moment and a covariance read one table of exponent groups
 (``_exponent_groups``, kept per trace cycles and distinct swap patterns):
 the rows of their order, all of them around one trace cycle and the
 connected ones around two, grouped by their vector of j-orbits and each
-pattern's orbits.  The levels of a tuple of ``I``, ``T``, ``G`` and
+pattern's orbits.  Each group's value, P and the radices raised to its
+exponents, is kept per (cycles, patterns, P and radices)
+(``_group_values``).  The levels of a tuple of ``I``, ``T``, ``G`` and
 ``LG`` letters and their split into swap patterns, radices and mixed
 levels are kept too (``_letter_levels``), levels only, never a count: a
 word reads them once, a covariance reads its joined letters', and neither
 the budget check nor a mixed level's grid pass is skipped.  Each of these
-three caches keeps its ``CACHE_ENTRIES`` latest entries; the pairing
+four caches keeps its ``CACHE_ENTRIES`` latest entries; the pairing
 tables, one per order, are kept for the process.  A mixed level walks its
 radix^m grid once, chunk by chunk, on the letters reduced to that radix,
 and counts every row from the histogram of its points' agreement masks
 (``perms.count_pairing_rows``).  A word keeps the count of every row of
-its order (``WickWord.row_counts``, filled by the first pairing counted);
+its order (``WickWord.row_counts``, filled by the first pairing counted).
+A cumulant reads each distinct subword's moment as the sum of those counts
+(``_moment_total``), with no pairing listed or visited;
+``exact_mixed_moment`` visits its m! pairings to report each one's count.
 ``exact_trace_covariance``, the one sum over two trace cycles, sums its
 connected rows group by group.  Words
 of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed
@@ -69,6 +74,7 @@ tuple, by its definition.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -98,7 +104,7 @@ from .perms import (
 DEFAULT_BUDGET = 2**32
 
 #: entries kept by each cache whose keys grow with the input: the letter
-#: tuples' levels, the level orbit tables and the exponent groups
+#: tuples' levels, the level orbit tables, the exponent groups and their values
 CACHE_ENTRIES = 256
 
 
@@ -155,8 +161,7 @@ class WickWord:
         (one grid pass per level)."""
         _, patterns, radices, mixed = self.level_split
         groups = _exponent_groups((self.m,), patterns)
-        bases = (self.shape.P,) + radices
-        values = [math.prod(map(pow, bases, exponents)) for exponents in groups.exponents]
+        values = _group_values(groups, (self.shape.P,) + radices)
         counts = list(map(values.__getitem__, groups.group.tolist()))
         if mixed:  # the arguments are built only for a grid pass
             counts = _times_mixed_counts(counts, mixed, _cyclic_arg_spec(self.m), groups.fm)
@@ -418,13 +423,26 @@ def exact_mixed_moment(word: WickWord,
     return RationalMomentReport(word=word, tuple_counts=counts)
 
 
+def _moment_total(word: WickWord, budget: int | None) -> Fraction:
+    """``exact_mixed_moment(word, budget).total`` without its per-pairing
+    report: the sum of the word's ``row_counts`` over M^(m+1).  The same
+    refusals come first: the pairing cap (``_pairing_table``), then
+    ``budget`` against m! times the grids."""
+    m = word.m
+    rows = len(_pairing_table(m).fm)
+    check_budget(word.digit_levels, m, budget, rows)
+    return Fraction(sum(word.row_counts), word.shape.M ** (m + 1))
+
+
 def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """Multivariate free cumulant kappa_m of the word at finite (M, P).
 
-    The recursion asks for the moment of each distinct subword once.
+    The recursion asks for the moment of each distinct subword once, as one
+    sum of the subword's ``row_counts`` (``_moment_total``): no pairing is
+    visited and no per-pairing report is built.
     """
     def moment(sub: tuple) -> Fraction:
-        return exact_mixed_moment(WickWord(word.shape, sub), budget=budget).total
+        return _moment_total(WickWord(word.shape, sub), budget)
 
     return pts.moments_to_free_cumulants(moment, word.perms)
 
@@ -455,15 +473,17 @@ def _cycle_rows(cycles: tuple[int, ...]) -> tuple:
 class _ExponentGroups:
     """The rows of one or two trace cycles grouped by exponent vector.
 
-    ``fm`` holds the factor maps of the rows (``_cycle_rows``).  Row k's
-    exponent vector is its j-orbits, then its ``_level_orbits`` under each
-    of the swap ``patterns``.  ``exponents`` lists the distinct
-    vectors, in lexicographic order, ``group[k]`` is row k's index among
-    them (in the smallest integer type that holds it) and ``sizes`` counts
-    each group's rows.  Nothing here depends on M, P, a radix or a letter.
+    ``fm`` holds the factor maps of the rows (``_cycle_rows``) of the trace
+    ``cycles``.  Row k's exponent vector is its j-orbits, then its
+    ``_level_orbits`` under each of the swap ``patterns``.  ``exponents``
+    lists the distinct vectors, in lexicographic order, ``group[k]`` is
+    row k's index among them (in the smallest integer type that holds it)
+    and ``sizes`` counts each group's rows.  Nothing here depends on M, P,
+    a radix or a letter.
     """
 
     def __init__(self, cycles: tuple[int, ...], patterns: tuple[tuple[bool, ...], ...]):
+        self.cycles, self.patterns = cycles, patterns
         rows, self.fm = _cycle_rows(cycles)
         columns = np.stack([_pairing_table(sum(cycles)).j_orbits] +
                            [_level_orbits(cycles, swaps) for swaps in patterns], axis=1)[rows]
@@ -486,6 +506,29 @@ class _ExponentGroups:
 def _exponent_groups(cycles: tuple[int, ...],
                      patterns: tuple[tuple[bool, ...], ...]) -> _ExponentGroups:
     return _ExponentGroups(cycles, patterns)
+
+
+_GROUP_VALUES: dict[tuple, tuple[int, ...]] = {}
+
+
+def _group_values(groups: _ExponentGroups, bases: tuple[int, ...]) -> tuple[int, ...]:
+    """One row's count over the keep/swap levels for each of the ``groups``:
+    P^(j-orbits) times each swap pattern's radix^orbits, ``bases`` being
+    (P,) then the patterns' radices.
+
+    Kept by (cycles, patterns, bases), not by the groups object, which the
+    group cache may drop and build again equal, for the ``CACHE_ENTRIES``
+    latest keys (``_GROUP_VALUES``): a word or covariance of the same levels
+    and P raises no power again.
+    """
+    key = (groups.cycles, groups.patterns, bases)
+    values = _GROUP_VALUES.get(key)
+    if values is None:
+        if len(_GROUP_VALUES) >= CACHE_ENTRIES:
+            del _GROUP_VALUES[next(iter(_GROUP_VALUES))]  # the oldest key
+        values = _GROUP_VALUES[key] = tuple(math.prod(map(pow, bases, exponents))
+                                            for exponents in groups.exponents)
+    return values
 
 
 def exact_trace_covariance(word1: WickWord, word2: WickWord,
@@ -517,10 +560,8 @@ def exact_trace_covariance(word1: WickWord, word2: WickWord,
         counts = _times_mixed_counts([1] * len(groups.group), mixed, arg_spec, groups.fm)
         for g, n in zip(groups.group.tolist(), counts):
             sizes[g] += n
-    bases = (P,) + radices
-    total = sum(math.prod(map(pow, bases, exponents)) * n
-                for exponents, n in zip(groups.exponents, sizes))
-    return Fraction(total, M**K)
+    values = _group_values(groups, (P,) + radices)
+    return Fraction(sum(map(operator.mul, values, sizes)), M**K)
 
 
 # ---------------------------------------------------------------------------

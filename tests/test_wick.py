@@ -97,29 +97,98 @@ def test_exact_cumulant_examples():
 
 def test_cumulant_asks_each_distinct_subword_once(monkeypatch):
     # the noncrossing recursion keeps each subword's cumulant, so the moment
-    # of a subword is computed once however many blocks select it; the
-    # letters are equal but distinct objects, as a parsed word's are
+    # of a subword is computed once however many blocks select it, as one
+    # row sum that lists no pairing and counts none alone; the letters are
+    # equal but distinct objects, as a parsed word's are
     M = 12
     kinds = {"G": lambda: PartialTranspose(4, 3), "T": lambda: Transpose(M),
              "I": lambda: Identity(M)}
-    moment = wk.exact_mixed_moment
+    moment = wk._moment_total
     calls = []
 
-    def counted(sub, **kw):
+    def counted(sub, *args, **kw):
         calls.append(sub.perms)
-        return moment(sub, **kw)
+        return moment(sub, *args, **kw)
+
+    def never(*args, **kw):
+        raise AssertionError("a cumulant visits no pairing")
 
     for letters, distinct in (("GTGI", 13), ("GTGIG", 23), ("GTGIGT", 45)):
         w = word(M, M, *(kinds[x]() for x in letters))
-        expected = wk.exact_mixed_cumulant(w)
+        expected = wk.exact_mixed_cumulant(w)  # builds the pairing tables
         calls.clear()
-        monkeypatch.setattr(wk, "exact_mixed_moment", counted)
-        assert wk.exact_mixed_cumulant(w) == expected
-        monkeypatch.setattr(wk, "exact_mixed_moment", moment)
+        with monkeypatch.context() as patch:
+            patch.setattr(wk, "_moment_total", counted)
+            patch.setattr(wk, "count_admissible", never)
+            patch.setattr(wk, "enumerate_bipartite_pairings", never)
+            patch.setattr(pts, "enumerate_bipartite_pairings", never)
+            assert wk.exact_mixed_cumulant(w) == expected
         subwords = {tuple(w.perms[k] for k in c) for r in range(1, w.m + 1)
                     for c in itertools.combinations(range(w.m), r)}
         assert len(calls) == len(set(calls)) == len(subwords) == distinct, letters
         assert set(calls) == subwords
+
+
+def test_cumulant_refusals_are_the_moments(monkeypatch):
+    # the cumulant asks for the whole word's moment first, so it is refused
+    # as that moment is: nine letters by the pairing cap, with cost 9!, and
+    # a budget below m! times the grids with the moment's message; neither
+    # refusal makes a grid pass
+    M = 4
+    diag = pm.InducedDiagonal([2, 1, 4, 3])
+    nine = word(M, 3, *(diag if k % 3 else Transpose(M) for k in range(9)))
+
+    def no_pass(*args):
+        raise AssertionError("a refused count walks no grid")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wk, "count_pairing_rows", no_pass)
+        with pytest.raises(ResourceLimitError, match=r"^9 letters have 9! = 362880 pairings, "
+                           r"over the pairing enumeration cap of 8 letters$") as info:
+            wk.exact_mixed_cumulant(nine)
+        assert info.value.cost == math.factorial(9)
+        M = 72
+        w = word(M, M, *(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES))
+        cost = 24 * 2 * 6**4
+        with pytest.raises(ResourceLimitError, match=r"^enumeration cost 24 pairings x "
+                           r"\(6\^4 \+ 6\^4 = 2592\) = 62208 exceeds budget 62207$") as info:
+            wk.exact_mixed_cumulant(w, budget=cost - 1)
+        assert info.value.cost == cost
+    assert wk.exact_mixed_cumulant(w, budget=cost) == wk.exact_mixed_cumulant(w, budget=None) \
+        == nc_cumulant_of_moments(w)
+
+
+def nc_cumulant_of_moments(w):
+    """The reference cumulant: the noncrossing recursion over the totals of
+    ``exact_mixed_moment``'s per-pairing reports."""
+    return pts.moments_to_free_cumulants(
+        lambda sub: wk.exact_mixed_moment(WickWord(w.shape, sub)).total, w.perms)
+
+
+@st.composite
+def cumulant_word(draw):
+    """A word of 1-5 letters at P != M: divisor-chain sizes (no grid),
+    sizes that make a mixed level, or any of those with a ``D`` letter (one
+    mixed level of radix M)."""
+    kind = draw(st.sampled_from(("chain", "mixed", "D")))
+    M, ds = draw(st.sampled_from({"chain": ((4, (2,)), (8, (2, 4)), (16, (2, 4, 8))),
+                                  "mixed": ((6, (2, 3)), (12, (4, 6)), (12, (2, 3))),
+                                  "D": ((4, (2,)), (6, (2, 3)))}[kind]))
+    letters = chain_letters(M, ds)
+    m = draw(st.integers(1, 5))
+    perms = draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m))
+    if kind == "D":
+        perms[draw(st.integers(0, m - 1))] = pm.InducedDiagonal(
+            draw(st.permutations(range(1, M + 1))))
+    P = draw(st.integers(1, M + 3).filter(lambda p: p != M))
+    return word(M, P, *perms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cumulant_word())
+def test_cumulant_matches_the_recursion_over_moment_reports(w):
+    assert wk._moment_total(w, wk.DEFAULT_BUDGET) == wk.exact_mixed_moment(w).total
+    assert wk.exact_mixed_cumulant(w) == nc_cumulant_of_moments(w)
 
 
 def test_kappa2_identity_mixed_kinds():
@@ -1208,11 +1277,14 @@ def test_caches_that_grow_with_the_input_are_bounded():
     assert min(len(keys), len(letter_tuples)) > bound
     for cache in (wk._level_orbits, wk._exponent_groups, wk._chain_levels):
         cache.cache_clear()
+    wk._GROUP_VALUES.clear()
     orbits = [wk._level_orbits(*key) for key in keys]
     groups = [wk._exponent_groups(cycles, (s,)) for cycles, s in keys]
     levels = [wk._letter_levels(perms) for perms in letter_tuples]
+    values = [wk._group_values(g, (3, 2)) for g in groups]
     for cache in (wk._level_orbits, wk._exponent_groups, wk._chain_levels):
         assert cache.cache_info().currsize == bound
+    assert len(wk._GROUP_VALUES) == bound
     again = wk._level_orbits(*keys[0])
     assert again is not orbits[0] and np.array_equal(again, orbits[0])
     again = wk._exponent_groups(keys[0][0], (keys[0][1],))
@@ -1222,6 +1294,12 @@ def test_caches_that_grow_with_the_input_are_bounded():
     again = wk._letter_levels(letter_tuples[0])
     assert again is not levels[0] and again == levels[0]
     assert wk._chain_levels.cache_info().currsize == bound
+    # group values are keyed by (cycles, patterns, bases), so groups built
+    # again give the same key
+    assert (keys[-1][0], (keys[-1][1],), (3, 2)) in wk._GROUP_VALUES
+    again = wk._group_values(wk._exponent_groups(keys[0][0], (keys[0][1],)), (3, 2))
+    assert again is not values[0] and again == values[0]
+    assert len(wk._GROUP_VALUES) == bound
 
 
 CACHED_SIDES = (4, 6, 8, 12, 16, 36)
