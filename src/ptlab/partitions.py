@@ -323,8 +323,9 @@ def moments_to_free_cumulants(moment: Callable[[tuple], Fraction], word: tuple) 
                      prod over blocks B of kappa_|B|(w[B])
 
     terminates because every proper noncrossing partition has blocks of size
-    strictly less than n.  Moments may be ``Fraction``s, floats or ndarrays:
-    products start at the integer 1 and no moment is updated in place.
+    strictly less than n.  Moments may be ints, ``Fraction``s, floats or
+    ndarrays: products start at the integer 1 and no moment is updated in
+    place.
     """
     memo: dict[tuple, Fraction] = {}
 

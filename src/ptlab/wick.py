@@ -46,13 +46,14 @@ four caches keeps its ``CACHE_ENTRIES`` latest entries; the pairing
 tables, one per order, are kept for the process.  A mixed level walks its
 radix^m grid once, chunk by chunk, on the letters reduced to that radix,
 and counts every row from the histogram of its points' agreement masks
-(``perms.count_pairing_rows``).  A word keeps the count of every row of
-its order (``WickWord.row_counts``, filled by the first pairing counted).
-A cumulant reads each distinct subword's moment as the sum of those counts
-(``_moment_total``), with no pairing listed or visited;
-``exact_mixed_moment`` visits its m! pairings to report each one's count.
-``exact_trace_covariance``, the one sum over two trace cycles, sums its
-connected rows group by group.  Words
+(``perms.count_pairing_rows``).  One sum gives every trace-cycle total
+(``_cycle_total``): the integer sum over groups of the group's value
+times its size, or with mixed levels its rows' mixed counts summed.
+``exact_trace_covariance`` takes it over two cycles, and a cumulant over
+one cycle for each distinct subword, with no pairing listed or visited and
+the noncrossing recursion run on ints.  ``exact_mixed_moment`` visits its
+m! pairings to report each one's count, from the count of every row of its
+order that the word keeps (``WickWord.row_counts``).  Words
 of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed
 level, L and g the lcm and gcd of the block sizes inside it, whatever M
 is; divisor-chain words build no grid.  A word with a ``D(file)``,
@@ -73,6 +74,7 @@ tuple, by its definition.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -109,7 +111,7 @@ CACHE_ENTRIES = 256
 
 
 class _cached(cached_property):
-    """``cached_property`` without Python < 3.12's first-access lock (1 us a cumulant subword)."""
+    """``cached_property`` without Python < 3.12's first-access lock (1 us a word)."""
 
     def __get__(self, word, owner=None):
         if word is None:
@@ -423,32 +425,31 @@ def exact_mixed_moment(word: WickWord,
     return RationalMomentReport(word=word, tuple_counts=counts)
 
 
-def _moment_total(word: WickWord, budget: int | None) -> Fraction:
-    """``exact_mixed_moment(word, budget).total`` without its per-pairing
-    report: the sum of the word's ``row_counts`` over M^(m+1).  The same
-    refusals come first: the pairing cap (``_pairing_table``), then
-    ``budget`` against m! times the grids."""
-    m = word.m
-    rows = len(_pairing_table(m).fm)
-    check_budget(word.digit_levels, m, budget, rows)
-    return Fraction(sum(word.row_counts), word.shape.M ** (m + 1))
-
-
 def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """Multivariate free cumulant kappa_m of the word at finite (M, P).
 
-    The recursion asks for the moment of each distinct subword once, as one
-    sum of the subword's ``row_counts`` (``_moment_total``): no pairing is
-    visited and no per-pairing report is built.
+    The letters are interned as integer labels, equal letters sharing one,
+    so the recursion's memo compares ints.  The recursion asks once for each
+    distinct k-letter subword w's moment times M^(2k), the integer
+    A(w) M^(k-1), A(w) = ``_cycle_total((k,), ...)``; each block product of
+    the recursion then carries M^(2k) too, so it runs on ints and returns
+    M^(2m) kappa_m.  No pairing is visited and no subword ``WickWord`` is
+    built; a subword is refused as its moment would be.
     """
-    def moment(sub: tuple) -> Fraction:
-        return _moment_total(WickWord(word.shape, sub), budget)
+    M, P = word.shape.M, word.shape.P
+    labels: dict[EntryPermutation, int] = {}
+    letters = tuple(labels.setdefault(p, len(labels)) for p in word.perms)
+    distinct = tuple(labels)
 
-    return pts.moments_to_free_cumulants(moment, word.perms)
+    def moment(sub: tuple) -> int:
+        k = len(sub)
+        return _cycle_total((k,), tuple(map(distinct.__getitem__, sub)), P, budget) * M ** (k - 1)
+
+    return Fraction(pts.moments_to_free_cumulants(moment, letters), M ** (2 * word.m))
 
 
 # ---------------------------------------------------------------------------
-# trace covariance (unnormalized traces, connected pairings)
+# trace-cycle totals (a moment's one cycle; a covariance's two, connected)
 # ---------------------------------------------------------------------------
 
 def _connected_rows(m: int, r: int) -> np.ndarray:
@@ -531,37 +532,45 @@ def _group_values(groups: _ExponentGroups, bases: tuple[int, ...]) -> tuple[int,
     return values
 
 
+def _cycle_total(cycles: tuple[int, ...], letters: tuple, P: int, budget: int | None) -> int:
+    """The admissible tuples summed over the rows of the trace ``cycles``
+    (``_cycle_rows``), the ``letters`` running around them in turn: the
+    integer sum over exponent groups g of value_g (``_group_values``) times
+    S_g, the group's row count, or with mixed levels its rows' mixed counts
+    summed.  The pairing cap refuses more than
+    ``partitions.MAX_PAIRING_ORDER`` letters; then ``budget`` is checked
+    once, against the number of rows times the grids, before each mixed
+    level's one grid pass for all the rows.
+    """
+    levels, patterns, radices, mixed = _letter_levels(letters)
+    groups = _exponent_groups(cycles, patterns)
+    check_budget(levels, len(letters), budget, len(groups.group))
+    sizes = groups.sizes
+    if mixed:
+        sizes = [0] * len(sizes)
+        arg_spec = sum(map(_cyclic_arg_spec, cycles, itertools.accumulate((0,) + cycles)), [])
+        counts = _times_mixed_counts([1] * len(groups.group), mixed, arg_spec, groups.fm)
+        for g, n in zip(groups.group.tolist(), counts):
+            sizes[g] += n
+    values = _group_values(groups, (P,) + radices)
+    return sum(map(operator.mul, values, sizes))
+
+
 def exact_trace_covariance(word1: WickWord, word2: WickWord,
                            budget: int | None = DEFAULT_BUDGET) -> Fraction:
     """Cov(Tr W^{sigmas}, Tr W^{taus}) with Tr the unnormalized trace.
 
     Equals M^-(m+r) times the admissible combined tuples of the two trace
     cycles, summed over the connected bipartite pairings of [2(m+r)] (those
-    coupling the two cycles); more than ``partitions.MAX_PAIRING_ORDER``
-    letters in all are refused.  The rows are summed by exponent group
-    (``_exponent_groups``): group g adds P^(j_g) times each swap pattern's
-    radix, the product of its levels' radices, to the group's orbits, times
-    the group's row count, or with mixed levels its rows' mixed counts
-    summed.  Each mixed level makes one grid pass for all the rows, and
-    ``budget`` is checked once, before any count, against the number of
-    rows times the grids.
+    coupling the two cycles): ``_cycle_total((m, r), ...)``, by exponent
+    group.  More than ``partitions.MAX_PAIRING_ORDER`` letters in all are
+    refused, and ``budget`` is checked once, before any count, against the
+    number of rows times the grids.
     """
     if word1.shape != word2.shape:
         raise ValueError("words must share one matrix shape")
-    m, r = word1.m, word2.m
-    K, M, P = m + r, word1.shape.M, word1.shape.P
-    levels, patterns, radices, mixed = _letter_levels(word1.perms + word2.perms)
-    groups = _exponent_groups((m, r), patterns)
-    check_budget(levels, K, budget, len(groups.group))
-    sizes = groups.sizes
-    if mixed:
-        sizes = [0] * len(sizes)
-        arg_spec = _cyclic_arg_spec(m) + _cyclic_arg_spec(r, offset=m)
-        counts = _times_mixed_counts([1] * len(groups.group), mixed, arg_spec, groups.fm)
-        for g, n in zip(groups.group.tolist(), counts):
-            sizes[g] += n
-    values = _group_values(groups, (P,) + radices)
-    return Fraction(sum(map(operator.mul, values, sizes)), M**K)
+    total = _cycle_total((word1.m, word2.m), word1.perms + word2.perms, word1.shape.P, budget)
+    return Fraction(total, word1.shape.M ** (word1.m + word2.m))
 
 
 # ---------------------------------------------------------------------------

@@ -98,17 +98,17 @@ def test_exact_cumulant_examples():
 def test_cumulant_asks_each_distinct_subword_once(monkeypatch):
     # the noncrossing recursion keeps each subword's cumulant, so the moment
     # of a subword is computed once however many blocks select it, as one
-    # row sum that lists no pairing and counts none alone; the letters are
+    # group sum that lists no pairing and counts none alone; the letters are
     # equal but distinct objects, as a parsed word's are
     M = 12
     kinds = {"G": lambda: PartialTranspose(4, 3), "T": lambda: Transpose(M),
              "I": lambda: Identity(M)}
-    moment = wk._moment_total
+    total = wk._cycle_total
     calls = []
 
-    def counted(sub, *args, **kw):
-        calls.append(sub.perms)
-        return moment(sub, *args, **kw)
+    def counted(cycles, letters, *args, **kw):
+        calls.append(letters)
+        return total(cycles, letters, *args, **kw)
 
     def never(*args, **kw):
         raise AssertionError("a cumulant visits no pairing")
@@ -118,7 +118,7 @@ def test_cumulant_asks_each_distinct_subword_once(monkeypatch):
         expected = wk.exact_mixed_cumulant(w)  # builds the pairing tables
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(wk, "_moment_total", counted)
+            patch.setattr(wk, "_cycle_total", counted)
             patch.setattr(wk, "count_admissible", never)
             patch.setattr(wk, "enumerate_bipartite_pairings", never)
             patch.setattr(pts, "enumerate_bipartite_pairings", never)
@@ -166,16 +166,16 @@ def nc_cumulant_of_moments(w):
 
 
 @st.composite
-def cumulant_word(draw):
-    """A word of 1-5 letters at P != M: divisor-chain sizes (no grid),
-    sizes that make a mixed level, or any of those with a ``D`` letter (one
-    mixed level of radix M)."""
+def cumulant_word(draw, max_letters=5):
+    """A word of 1 to ``max_letters`` letters at P != M: divisor-chain sizes
+    (no grid), sizes that make a mixed level, or any of those with a ``D``
+    letter (one mixed level of radix M)."""
     kind = draw(st.sampled_from(("chain", "mixed", "D")))
     M, ds = draw(st.sampled_from({"chain": ((4, (2,)), (8, (2, 4)), (16, (2, 4, 8))),
                                   "mixed": ((6, (2, 3)), (12, (4, 6)), (12, (2, 3))),
                                   "D": ((4, (2,)), (6, (2, 3)))}[kind]))
     letters = chain_letters(M, ds)
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, max_letters))
     perms = draw(st.lists(st.sampled_from(letters), min_size=m, max_size=m))
     if kind == "D":
         perms[draw(st.integers(0, m - 1))] = pm.InducedDiagonal(
@@ -187,8 +187,67 @@ def cumulant_word(draw):
 @settings(max_examples=60, deadline=None)
 @given(cumulant_word())
 def test_cumulant_matches_the_recursion_over_moment_reports(w):
-    assert wk._moment_total(w, wk.DEFAULT_BUDGET) == wk.exact_mixed_moment(w).total
+    M, m = w.shape.M, w.m
+    assert Fraction(wk._cycle_total((m,), w.perms, w.shape.P, wk.DEFAULT_BUDGET), M**(m + 1)) \
+        == wk.exact_mixed_moment(w).total
     assert wk.exact_mixed_cumulant(w) == nc_cumulant_of_moments(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cumulant_word(max_letters=6))
+def test_cumulant_recursion_runs_on_ints(w):
+    # the recursion is handed M^(2k) times each subword's moment, so every
+    # value it makes is an int; a Fraction or a float would still give the
+    # right cumulant, so the recursion's own result is checked
+    recursion = pts.moments_to_free_cumulants
+    results = []
+
+    def spy(*args):
+        results.append(recursion(*args))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pts, "moments_to_free_cumulants", spy)
+        cumulant = wk.exact_mixed_cumulant(w)
+    assert [type(r) for r in results] == [int]
+    assert cumulant == Fraction(results[0], w.shape.M ** (2 * w.m)) == nc_cumulant_of_moments(w)
+
+
+def test_cumulant_pins():
+    # an 8-letter word of every chain kind, and the 5-letter constant word
+    # of the exact-chain benchmark, pinned from the recursion over Fraction
+    # moments
+    M = 8
+    G, LG = PartialTranspose(2, 4), PartialTranspose(4, 2, Side.LEFT)
+    eight = word(M, M, *(G, Transpose(M), LG, Identity(M)) * 2)
+    assert wk.exact_mixed_cumulant(eight) == Fraction(215169, 262144)
+    assert wk.exact_mixed_cumulant(word(16, 16, *[PartialTranspose(2, 8)] * 5)) \
+        == Fraction(4787, 32768)
+
+
+def test_cumulant_interns_equal_letters_as_one(monkeypatch):
+    # equal letters that are distinct objects, as a parsed word's are, get
+    # one label: the same value from the same group sums as one shared object
+    M = 12
+    total = wk._cycle_total
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return total(*args)
+
+    monkeypatch.setattr(wk, "_cycle_total", counted)
+    kinds = {"G": PartialTranspose(4, 3), "T": Transpose(M)}
+    shared = word(M, 5, *(kinds[x] for x in "GTGGTG"))
+    fresh = word(M, 5, *(PartialTranspose(4, 3) if x == "G" else Transpose(M)
+                         for x in "GTGGTG"))
+    values = []
+    for w in (shared, fresh):
+        calls.clear()
+        values.append((wk.exact_mixed_cumulant(w), list(calls)))
+    subwords = {"".join(c) for r in range(1, 7) for c in itertools.combinations("GTGGTG", r)}
+    assert values[0] == values[1]
+    assert len(values[0][1]) == len(set(values[0][1])) == len(subwords) == 28
 
 
 def test_kappa2_identity_mixed_kinds():
