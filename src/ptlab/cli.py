@@ -5,16 +5,18 @@ point permutation of [M], one 1-based image per line) and ``P(file)`` (M^2
 lines ``i j i' j'``).  Inside ``G``/``LG``, ``b`` and ``d`` may be integers
 or ``M``/``M/k`` resolved against --M.
 
-Family literals for ``verdict`` use the grid expressions ``const:j`` (or a
-bare integer), ``N``, ``N^2``, ``2^k`` (k = 1-based grid position), ``M/j``
+Family literals for ``verdict`` use the grid expressions: a bare integer
+(a constant), ``N``, ``N^2``, ``2^k`` (k = 1-based grid position), ``M/j``
 and ``inf``; the last two are resolved against the grid's M, which must be
 pinned by at least one fully concrete family.
 
 Each result command has one handler that returns its payload, and ``main``
-writes it; ``simulate`` is ``moment --mc``.  ``sweep`` runs its points in
-order through the same handlers and writes a row for every point: the
-command's payload, or an ``error`` cell for a point that fails, after which
-the exit code is 3 if some point was refused for its budget and 2 otherwise.
+writes it; ``--mc`` samples a moment, cumulant or covariance instead of
+counting it.  ``sweep`` runs its points in order through the same handlers,
+a point sampling when it carries ``samples``, and writes a row for every
+point: the command's payload, or an ``error`` cell for a point that fails,
+after which the exit code is 3 if some point was refused for its budget and
+2 otherwise.
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
 3 resource refusal: a word over the pairing cap of 8 letters (for a moment
@@ -134,7 +136,7 @@ def _parse_grid(text: str) -> list[int]:
 
 
 class _Expr:
-    """A tiny grid expression: const:j / int / N / N^2 / 2^k / M/j / inf."""
+    """A tiny grid expression: int / N / N^2 / 2^k / M/j / inf."""
 
     def __init__(self, tok: str):
         tok = tok.strip()
@@ -152,9 +154,6 @@ class _Expr:
             self.j = int(tok.split("/")[1])
             if self.j < 1:
                 raise ValueError(f"bad grid expression {tok!r}: division by zero")
-        elif re.fullmatch(r"const:(\d+)", tok):
-            self.kind = "const"
-            self.j = int(tok.split(":")[1])
         elif re.fullmatch(r"\d+", tok):
             self.kind = "const"
             self.j = int(tok)
@@ -327,6 +326,9 @@ def _estimate(estimator, args, *words: wk.WickWord) -> dict:
 def _cmd_moment(args) -> dict:
     word, payload = _word_payload(args)
     if args.mc:
+        if args.breakdown:
+            raise ValueError("--breakdown reports the exact count of each pairing; "
+                             "it cannot be combined with --mc")
         payload.update(_estimate(mc.mc_mixed_moment, args, word))
     else:
         report = wk.exact_mixed_moment(word, budget=args.budget)
@@ -402,7 +404,6 @@ _SWEEP_COMMANDS = {
     "moment": (_cmd_moment, ("word",)),
     "cumulant": (_cmd_cumulant, ("word",)),
     "covariance": (_cmd_covariance, ("word1", "word2")),
-    "simulate": (_cmd_moment, ("word",)),
 }
 
 
@@ -426,8 +427,8 @@ def _sweep_point(job: dict) -> dict:
     if cmd not in _SWEEP_COMMANDS:
         raise ValueError(f"sweep does not support command {cmd!r}")
     fn, keys = _SWEEP_COMMANDS[cmd]
-    # simulate always samples; a covariance point samples when it has `samples`
-    sample = cmd == "simulate" or cmd == "covariance" and "samples" in job
+    # a moment, cumulant or covariance point samples when it carries `samples`
+    sample = cmd != "count" and "samples" in job
     args = argparse.Namespace(M=M, P=P, all=False, breakdown=False, budget=wk.DEFAULT_BUDGET,
                               mc=sample, **{key: need(key) for key in keys})
     if sample:
@@ -560,16 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach the exact agreement-density corroboration")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_verdict)
-
-    p = sub.add_parser("simulate", help="Monte Carlo moment estimate: moment --mc")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--P", type=int)
-    p.add_argument("--word", required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--emit-config", help="also write the command and output as JSON")
-    _add_output_args(p)
-    p.set_defaults(fn=_cmd_moment, mc=True)
 
     p = sub.add_parser("sweep", help="run a JSON-configured grid of jobs to CSV")
     p.add_argument("--config", required=True)

@@ -40,7 +40,7 @@ exponents, is kept per (cycles, patterns, P and radices)
 (``_group_values``).  The levels of a tuple of ``I``, ``T``, ``G`` and
 ``LG`` letters and their split into swap patterns, radices and mixed
 levels are kept too (``_letter_levels``), levels only, never a count: a
-word reads them once, a covariance reads its joined letters', and neither
+word reads its letters', a covariance its joined letters', and neither
 the budget check nor a mixed level's grid pass is skipped.  Each of these
 four caches keeps its ``CACHE_ENTRIES`` latest entries; the pairing
 tables, one per order, are kept for the process.  A mixed level walks its
@@ -110,16 +110,6 @@ DEFAULT_BUDGET = 2**32
 CACHE_ENTRIES = 256
 
 
-class _cached(cached_property):
-    """``cached_property`` without Python < 3.12's first-access lock (1 us a word)."""
-
-    def __get__(self, word, owner=None):
-        if word is None:
-            return self
-        value = word.__dict__[self.attrname] = self.func(word)
-        return value
-
-
 @dataclass(frozen=True)
 class WickWord:
     """An ordered tuple of symmetric entry permutations with a matrix shape."""
@@ -144,24 +134,18 @@ class WickWord:
     def subword(self, positions: tuple[int, ...]) -> "WickWord":
         return WickWord(self.shape, tuple(self.perms[t - 1] for t in positions))
 
-    @_cached
-    def level_split(self) -> "LevelSplit":
-        """The letters' digit levels and their split, read once per word
-        (``_letter_levels``)."""
-        return _letter_levels(self.perms)
-
     @property
     def digit_levels(self) -> tuple:
-        """``perms.digit_levels`` of the letters."""
-        return self.level_split.levels
+        """``perms.digit_levels`` of the letters (``_letter_levels``)."""
+        return _letter_levels(self.perms).levels
 
-    @_cached
+    @cached_property
     def row_counts(self) -> list[int]:
         """#A of every row of ``_pairing_table(m)``, shared by the counts of
         every pairing: its exponent group's P^(j-orbits) times each swap
         pattern's radix^orbits, times the row's count on each mixed level
         (one grid pass per level)."""
-        _, patterns, radices, mixed = self.level_split
+        _, patterns, radices, mixed = _letter_levels(self.perms)
         groups = _exponent_groups((self.m,), patterns)
         values = _group_values(groups, (self.shape.P,) + radices)
         counts = list(map(values.__getitem__, groups.group.tolist()))
@@ -354,24 +338,26 @@ def count_admissible(pairing: Pairing, word: WickWord, method: str = "auto",
     Wick pair on them directly.  "auto" reads the pairing's row of the
     word's ``row_counts``, which the first count fills for all m! pairings,
     so ``budget`` charges it m! times the sum of radix^m over the mixed
-    levels (0, and never refused, for a divisor-chain word).  "fast",
-    "naive" and "auto" above ``partitions.MAX_PAIRING_ORDER`` letters count
-    the one pairing, take its j-orbits from ``_j_orbit_count`` and are
-    charged M^m, (M P)^m and that sum.
+    levels (0, and never refused, for a divisor-chain word); with no budget
+    it reads no levels.  "fast", "naive" and "auto" above
+    ``partitions.MAX_PAIRING_ORDER`` letters count the one pairing, take its
+    j-orbits from ``_j_orbit_count`` and are charged M^m, (M P)^m and that
+    sum.
     """
     m = word.m
     if pairing.m != m:
         raise ValueError("pairing order does not match word length")
+    if method == "auto" and m <= pts.MAX_PAIRING_ORDER:
+        if budget is not None:
+            check_budget(word.digit_levels, m, budget, math.factorial(m))
+        return word.row_counts[_pairing_table(m).row[pairing.partner]]
     levels = _method_levels(word, method)
-    per_pairing = method != "auto" or m > pts.MAX_PAIRING_ORDER
-    check_budget(levels, m, budget, 1 if per_pairing else math.factorial(m))
+    check_budget(levels, m, budget)
     if method == "naive":
         return _count_admissible_naive(pairing, word)
-    P = word.shape.P
-    if per_pairing:  # the whole i-grid, or no table of this order
-        return P ** _j_orbit_count(pairing) * _count_constrained_i(
-            levels, _factor_pairs(pairing), _cyclic_arg_spec(m))
-    return word.row_counts[_pairing_table(m).row[pairing.partner]]
+    # the whole i-grid, or no table of this order
+    return word.shape.P ** _j_orbit_count(pairing) * _count_constrained_i(
+        levels, _factor_pairs(pairing), _cyclic_arg_spec(m))
 
 
 def _method_levels(word: WickWord, method: str) -> list:

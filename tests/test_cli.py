@@ -153,15 +153,26 @@ def test_covariance_command(capsys):
     assert json.loads(out)["exact"] == "1"
 
 
-def test_simulate_csv_and_seed_required(capsys):
-    code, out, _ = run(capsys, "simulate", "--M", "4", "--P", "4", "--word", "I",
+def test_moment_mc_csv_and_seed_required(capsys):
+    code, out, _ = run(capsys, "moment", "--mc", "--M", "4", "--P", "4", "--word", "I",
                        "--samples", "200", "--seed", "42", "--format", "csv")
     assert code == 0
     header, row = out.strip().split("\n")
     assert header == "word,M,P,samples,seed,mean,std_error"
     assert row.startswith("I,4,4,200,42,")
-    # argparse enforces --seed (exit 2)
-    assert cli.main(["simulate", "--M", "4", "--word", "I"]) == 2
+    code, out, err = run(capsys, "moment", "--mc", "--M", "4", "--word", "I")
+    assert (code, out) == (2, "") and "--seed is required" in err
+
+
+def test_simulate_is_an_unknown_command(capsys):
+    code, out, err = run(capsys, "simulate", "--M", "4", "--word", "I", "--seed", "1")
+    assert (code, out) == (2, "") and "invalid choice: 'simulate'" in err
+
+
+def test_moment_mc_refuses_breakdown(capsys):
+    code, out, err = run(capsys, "moment", "--mc", "--breakdown", "--M", "4", "--word", "I",
+                         "--samples", "10", "--seed", "1")
+    assert (code, out) == (2, "") and "--breakdown" in err and "--mc" in err
 
 
 def test_mc_seed_required_for_mc_flag(capsys):
@@ -177,7 +188,7 @@ def test_seeds_outside_the_philox_key_range_are_refused(tmp_path, capsys):
         assert (code, out) == (2, "") and f"seed {seed} is outside [0, 2^64)" in err
     code, out, _ = run(capsys, *argv, "--seed", str(2**64 - 1))
     assert code == 0 and json.loads(out)["seed"] == 2**64 - 1
-    config = {"command": "simulate", "word": "I", "samples": 2,
+    config = {"command": "moment", "word": "I", "samples": 2,
               "grid": [{"M": 2, "seed": -1}, {"M": 2, "seed": 0}]}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(config))
@@ -320,11 +331,15 @@ def test_verdict_mixed_expressions(capsys):
                        "--grid", "N=2,4,8")
     assert code == 0
     assert json.loads(out)["overall_free"] is True
+    # a constant is a bare integer, as in G(N^2,1); no other spelling is read
+    code, out, err = run(capsys, "verdict", "--family", "G(N,const:2);G(2,N)",
+                         "--grid", "N=2,4")
+    assert (code, out) == (2, "") and "bad grid expression 'const:2'" in err
 
 
 def test_sweep_round_trip(tmp_path, capsys):
     config = {
-        "command": "simulate",
+        "command": "moment",
         "word": "G(2,M/2)",
         "samples": 300,
         "seed": 42,
@@ -344,12 +359,12 @@ def test_sweep_round_trip(tmp_path, capsys):
 
 def test_emit_config_reruns_identically(tmp_path, capsys):
     cfg_path = tmp_path / "sim.json"
-    code, out1, _ = run(capsys, "simulate", "--M", "8", "--word", "I", "--samples",
+    code, out1, _ = run(capsys, "moment", "--mc", "--M", "8", "--word", "I", "--samples",
                         "200", "--seed", "13", "--emit-config", str(cfg_path))
     assert code == 0
     emitted = json.loads(cfg_path.read_text())
-    assert emitted["command"] == "simulate" and emitted["seed"] == 13
-    code, out2, _ = run(capsys, "simulate", "--M", str(emitted["M"]), "--word",
+    assert emitted["command"] == "moment" and emitted["seed"] == 13
+    code, out2, _ = run(capsys, "moment", "--mc", "--M", str(emitted["M"]), "--word",
                         emitted["word"], "--samples", str(emitted["samples"]),
                         "--seed", str(emitted["seed"]))
     assert out1 == out2
@@ -438,7 +453,7 @@ def test_sweep_point_missing_key_is_an_error_row(tmp_path, capsys):
     assert [bool(r["error"]) for r in rows] == [True, True, False]
     assert rows[2]["exact"] == "1"
     # a whole JSON number such as 1e1 or 4.0 is an integer; 4.5 is refused
-    config = {"command": "simulate", "word": "I", "seed": 3,
+    config = {"command": "moment", "word": "I", "seed": 3,
               "grid": [{"M": 4.0, "samples": 1e1}, {"M": 4.5, "samples": 10}]}
     cfg_path.write_text(json.dumps(config))
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -449,12 +464,12 @@ def test_sweep_point_missing_key_is_an_error_row(tmp_path, capsys):
 
 
 def test_csv_writes_a_missing_value_as_an_empty_cell(tmp_path, capsys):
-    code, out, _ = run(capsys, "simulate", "--M", "4", "--word", "I", "--samples", "1",
+    code, out, _ = run(capsys, "moment", "--mc", "--M", "4", "--word", "I", "--samples", "1",
                        "--seed", "1", "--format", "csv")
     assert code == 0
     row = next(csv.DictReader(out.splitlines()))
     assert row["std_error"] == "" and float(row["mean"]) > 0
-    config = {"command": "simulate", "word": "I", "samples": 1, "seed": 1, "grid": [{"M": 4}]}
+    config = {"command": "moment", "word": "I", "samples": 1, "seed": 1, "grid": [{"M": 4}]}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(config))
     out_path = tmp_path / "out.csv"
@@ -479,8 +494,10 @@ def as_cell(v):
     ("covariance", {"word1": "G(2,M/2)", "word2": "T"}, ["--word1", "G(2,M/2)", "--word2", "T"]),
     ("covariance", {"word1": "G(2,M/2)", "word2": "T", "samples": 40, "seed": 7},
      ["--word1", "G(2,M/2)", "--word2", "T", "--mc", "--samples", "40", "--seed", "7"]),
-    ("simulate", {"word": "G(2,M/2),I", "samples": 40, "seed": 7},
-     ["--word", "G(2,M/2),I", "--samples", "40", "--seed", "7"]),
+    ("moment", {"word": "G(2,M/2),I", "samples": 40, "seed": 7},
+     ["--word", "G(2,M/2),I", "--mc", "--samples", "40", "--seed", "7"]),
+    ("cumulant", {"word": "G(2,M/2),T,I", "samples": 40, "seed": 7},
+     ["--word", "G(2,M/2),T,I", "--mc", "--samples", "40", "--seed", "7"]),
 ])
 def test_sweep_rows_are_the_commands_own_output(tmp_path, capsys, cmd, keys, options):
     grid = [{"M": 4}, {"M": 8}] if cmd == "count" else [{"M": 4}, {"M": 8, "P": 6}]
@@ -498,12 +515,16 @@ def test_sweep_rows_are_the_commands_own_output(tmp_path, capsys, cmd, keys, opt
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_simulate_prints_what_moment_mc_prints(capsys, fmt):
-    argv = ["--M", "8", "--P", "6", "--word", "G(2,4),T", "--samples", "64", "--seed", "5",
-            "--format", fmt]
-    code, simulated, _ = run(capsys, "simulate", *argv)
-    assert code == 0 and simulated
-    assert run(capsys, "moment", "--mc", *argv) == (0, simulated, "")
+def test_moment_mc_prints_what_simulate_printed(capsys, fmt):
+    # the bytes that the retired `simulate` command printed for these arguments
+    printed = {
+        "json": '{\n  "M": 8,\n  "P": 6,\n  "mean": 0.918744195330713,\n  "samples": 64,\n'
+                '  "seed": 5,\n  "std_error": 0.0346284759268126,\n  "word": "G(2,4),T"\n}\n',
+        "csv": 'word,M,P,samples,seed,mean,std_error\n'
+               '"G(2,4),T",8,6,64,5,0.91874419533071305,0.034628475926812598\n',
+    }[fmt]
+    argv = ["--M", "8", "--P", "6", "--word", "G(2,4),T", "--samples", "64", "--seed", "5"]
+    assert run(capsys, "moment", "--mc", *argv, "--format", fmt) == (0, printed, "")
 
 
 def test_readme_command_lines_parse():

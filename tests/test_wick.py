@@ -1376,6 +1376,20 @@ def chain_letter_pair(draw):
     return word(M, P, *perms[:m]), word(M, P, *perms[m:])
 
 
+def test_auto_count_without_budget_reads_no_levels(monkeypatch):
+    # once the word's row_counts are filled, a moment's per-pairing counts
+    # (budget None) read their rows and no levels; a budget reads the levels
+    w = word(12, 5, PartialTranspose(6, 2), PartialTranspose(4, 3), Identity(12))
+    pairings = pts.enumerate_bipartite_pairings(3)
+    expected = [wk.count_admissible(pi, w) for pi in pairings]
+    calls = []
+    real = wk._letter_levels
+    monkeypatch.setattr(wk, "_letter_levels", lambda perms: calls.append(perms) or real(perms))
+    assert [wk.count_admissible(pi, w, budget=None) for pi in pairings] == expected
+    assert calls == []
+    assert wk.count_admissible(pairings[0], w) == expected[0] and calls == [w.perms]
+
+
 @settings(max_examples=60, deadline=None)
 @given(chain_letter_pair())
 @example((word(6, 4, PartialTranspose(3, 2)), word(6, 4, PartialTranspose(2, 3, Side.LEFT))))
@@ -1388,7 +1402,7 @@ def test_cached_levels_are_the_fresh_levels(words):
     fresh = wk._split_levels(pm.digit_levels(perms))
     assert wk._letter_levels(perms) == fresh
     assert wk._letter_levels(perms) is wk._letter_levels(perms)
-    assert w1.level_split == wk._split_levels(pm.digit_levels(w1.perms))
+    assert w1.digit_levels == wk._split_levels(pm.digit_levels(w1.perms)).levels
     expected = per_row_covariance(w1, w2)
     assert wk.exact_trace_covariance(w1, w2) == expected
     K = len(perms)
