@@ -20,7 +20,8 @@ after which the exit code is 3 if some point was refused for its budget and
 
 Exit codes: 0 success, 1 failed selftest, 2 parse/validation error,
 3 resource refusal: a word over the pairing cap of 8 letters (for a moment
-or cumulant, and in all for a covariance), an enumeration over the budget, a
+or cumulant, and in all for a covariance; ``cumulant --mc`` lists no pairing
+and takes up to the noncrossing cap of 10), an enumeration over the budget, a
 table over the table cap or a ``limit`` order over its cap (the message
 carries the computed cost; a word of ``I``, ``T``, ``G`` and ``LG``
 enumerates only its mixed digit levels, each level's grid once for all
@@ -66,6 +67,18 @@ def _parse_block_int(tok: str, M: int) -> int:
     raise ValueError(f"bad block parameter {tok!r}")
 
 
+def _int_lines(kind: str, path: str, width: int) -> list[list[int]]:
+    """The nonblank lines of the ``kind`` file ``path``, each ``width``
+    integers; a line that is not is refused, naming the file and the line."""
+    with open(path) as fh:
+        lines = [(n, line.split()) for n, line in enumerate(fh, start=1) if line.strip()]
+    for n, tokens in lines:
+        if len(tokens) != width or not all(re.fullmatch(r"[+-]?\d+", x) for x in tokens):
+            raise ValueError(f"{kind} {path} line {n}: {' '.join(tokens)!r} is not "
+                             f"{width} integer{'s' * (width > 1)}")
+    return [list(map(int, tokens)) for _, tokens in lines]
+
+
 def parse_perm_literal(text: str, M: int) -> pm.EntryPermutation:
     text = text.strip()
     if text == "I":
@@ -82,19 +95,17 @@ def parse_perm_literal(text: str, M: int) -> pm.EntryPermutation:
         return PartialTranspose(b, d, side)
     m = re.fullmatch(r"D\((.+)\)", text)
     if m:
-        with open(m.group(1)) as fh:
-            theta = [int(line.strip()) for line in fh if line.strip()]
+        theta = [x for x, in _int_lines("D-file", m.group(1), 1)]
         if len(theta) != M:
             raise ValueError(f"D-file holds {len(theta)} images, expected M = {M}")
         return pm.InducedDiagonal(theta)
     m = re.fullmatch(r"P\((.+)\)", text)
     if m:
-        with open(m.group(1)) as fh:
-            rows = [[int(x) for x in line.split()] for line in fh if line.strip()]
+        rows = _int_lines("P-file", m.group(1), 4)
         if len(rows) != M * M:
             raise ValueError(f"P-file holds {len(rows)} rows, expected M^2 = {M * M}")
         for row in rows:
-            if len(row) != 4 or not all(1 <= x <= M for x in row):
+            if not all(1 <= x <= M for x in row):
                 raise ValueError(f"P-file row {' '.join(map(str, row))!r} is not four "
                                  f"indices in [1, {M}]")
         return pm.TablePermutation.from_mapping(M, {(i, j): (u, v) for i, j, u, v in rows})
@@ -364,6 +375,9 @@ def _cmd_covariance(args) -> dict:
 
 
 def _cmd_limit(args) -> dict:
+    for flag, tok in (("--b", args.b), ("--d", args.d)):
+        if tok != "inf" and not re.fullmatch(r"0*[1-9]\d*", tok):
+            raise ValueError(f"{flag} {tok!r} is not a positive integer or inf")
     b, d = (ay.INF if tok == "inf" else int(tok) for tok in (args.b, args.d))
     try:
         c = Fraction(args.c)
@@ -476,6 +490,9 @@ def _cmd_selftest(args) -> int:
         if not all(x.strip() for x in items):
             empty = "is empty" if len(items) == 1 else f"{args.criteria!r} has an empty item"
             raise ValueError(f"--criteria {empty}; give a comma-separated subset, e.g. 1,4,9")
+        if not all(re.fullmatch(r"\s*\d+\s*", x) for x in items):
+            raise ValueError(f"--criteria {args.criteria!r} has an item that is not an integer; "
+                             "give a comma-separated subset, e.g. 1,4,9")
         wanted = tuple(int(x) for x in items)
         bad = [x for x in wanted if x not in st.ALL_CRITERIA]
         if bad:

@@ -118,8 +118,8 @@ class Pairing:
         return "".join(f"({a},{b})" for a, b in ordered)
 
 
-def enumerate_bipartite_pairings(m: int) -> list[Pairing]:
-    """All m! bipartite pairings of [2m], lexicographic in (pi(1), pi(3), ...)."""
+def check_pairing_order(m: int) -> None:
+    """Refuse an order m below 1, or above ``MAX_PAIRING_ORDER`` at cost m!."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > MAX_PAIRING_ORDER:
@@ -127,11 +127,13 @@ def enumerate_bipartite_pairings(m: int) -> list[Pairing]:
         raise ResourceLimitError(
             f"{m} letters have {m}! = {cost} pairings, over the pairing enumeration "
             f"cap of {MAX_PAIRING_ORDER} letters", cost)
-    evens = list(range(2, 2 * m + 1, 2))
-    out = []
-    for images in itertools.permutations(evens):
-        out.append(Pairing.from_pairs(zip(range(1, 2 * m + 1, 2), images)))
-    return out
+
+
+def enumerate_bipartite_pairings(m: int) -> list[Pairing]:
+    """All m! bipartite pairings of [2m], lexicographic in (pi(1), pi(3), ...)."""
+    check_pairing_order(m)
+    odds, evens = range(1, 2 * m + 1, 2), range(2, 2 * m + 1, 2)
+    return [Pairing.from_pairs(zip(odds, images)) for images in itertools.permutations(evens)]
 
 
 def delta(m: int) -> Pairing:

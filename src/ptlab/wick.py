@@ -20,49 +20,46 @@ rational equality, no tolerances.
 The j-coordinates always contribute P^(number of j-orbits).  The i-count
 is a product over the word's digit levels (``perms.digit_levels``): each
 l-equality splits into one equality per mixed-radix digit level.  A
-keep/swap level contributes radix^(free digit orbits).  Those orbits depend
-only on the pairing, the trace cycles and the level's swap pattern, so
-``_orbits`` works them out for every pairing of the order at once, and
-``_level_orbits`` keeps the table (one int8 per pairing) per (cycles,
-swaps).  The j-orbits are ``_orbits`` with every letter a cycle of its own
-and no swap; they are a column of the one ``_PairingTable`` per order,
-beside the pairings.  Pinned endpoints (``segment_sum``) and the "fast"
-method count on ``perms.count_on_digit_levels``, the counter the
-permutation statistics share, and read P's exponent from ``_orbits`` of
-the one pairing.
+keep/swap level contributes radix^(free digit orbits), which depend only on
+the pairing, the trace cycles and the level's swap pattern; ``_orbits``
+works them out for many pairings at once.  The pairings of an order are the
+rows of one ``_PairingTable``, arrays only: their factor maps, in the order
+``enumerate_bipartite_pairings`` lists them, and j-orbits.  Pinned
+endpoints (``segment_sum``) and the "fast" method count on
+``perms.count_on_digit_levels``, the counter the permutation statistics
+share, and read P's exponent from ``_orbits`` of the one pairing.
 
 A moment and a covariance read one table of exponent groups
-(``_exponent_groups``, kept per trace cycles and distinct swap patterns):
-the rows of their order, all of them around one trace cycle and the
-connected ones around two, grouped by their vector of j-orbits and each
-pattern's orbits.  Each group's value, P and the radices raised to its
-exponents, is kept per (cycles, patterns, P and radices)
-(``_group_values``).  The levels of a tuple of ``I``, ``T``, ``G`` and
-``LG`` letters and their split into swap patterns, radices and mixed
-levels are kept too (``_letter_levels``), levels only, never a count: a
-word reads its letters', a covariance its joined letters', and neither
-the budget check nor a mixed level's grid pass is skipped.  Each of these
-four caches keeps its ``CACHE_ENTRIES`` latest entries; the pairing
-tables, one per order, are kept for the process.  A mixed level walks its
-radix^m grid once, chunk by chunk, on the letters reduced to that radix,
-and counts every row from the histogram of its points' agreement masks
-(``perms.count_pairing_rows``).  One sum gives every trace-cycle total
-(``_cycle_total``): the integer sum over groups of the group's value
-times its size, or with mixed levels its rows' mixed counts summed.
-``exact_trace_covariance`` takes it over two cycles, and a cumulant over
-one cycle for each distinct subword, with no pairing listed or visited and
-the noncrossing recursion run on ints.  ``exact_mixed_moment`` visits its
-m! pairings to report each one's count, from the count of every row of its
-order that the word keeps (``WickWord.row_counts``).  Words
-of ``I``, ``T``, ``G(b, d)`` and ``LG(b, d)`` thus cost (L/g)^m per mixed
-level, L and g the lcm and gcd of the block sizes inside it, whatever M
-is; divisor-chain words build no grid.  A word with a ``D(file)``,
-``P(file)``, composition or table letter is one mixed level of radix M.
-The enumeration budget charges the sum of the mixed levels' grids once for
-each pairing summed (an upper bound on the pass's mask tests), checked
-before any count.  A moment's word, or a covariance's two words together,
-are held to the pairing cap, ``partitions.MAX_PAIRING_ORDER`` = 8 letters.
-This cap and the table cap have no override.
+(``_exponent_groups``, kept per trace cycles and distinct swap patterns).
+It picks its own rows of the order's table, all of them around one trace
+cycle and the connected ones around two, and groups them by their vector
+of j-orbits and each pattern's orbits on those rows.  Each group's value,
+P and the radices raised to its exponents, is kept per (cycles, patterns,
+P and radices) (``_group_values``).  The levels of a tuple of ``I``,
+``T``, ``G`` and ``LG`` letters and their split into swap patterns,
+radices and mixed levels are kept too (``_letter_levels``), levels only,
+never a count, so neither the budget check nor a mixed level's grid pass
+is skipped.  These three caches keep their ``CACHE_ENTRIES`` latest
+entries each; the pairing tables, one per order, are kept for the process.
+A mixed level walks its radix^m grid once, chunk by chunk, on the letters
+reduced to that radix, and counts every row from the histogram of its
+points' agreement masks (``perms.count_pairing_rows``).  One sum gives
+every trace-cycle total (``_cycle_total``): the integer sum over groups of
+the group's value times its size, or with mixed levels its rows' mixed
+counts summed.  ``exact_trace_covariance`` takes it over two cycles, and a
+cumulant over one cycle for each distinct subword, with no ``Pairing``
+built and the noncrossing recursion run on ints.  ``exact_mixed_moment``
+visits its m! pairings, each reading its row (the table's ``row`` map) of
+the word's ``row_counts``.  Words of ``I``, ``T``, ``G(b, d)`` and
+``LG(b, d)`` thus cost (L/g)^m per mixed level, L and g the lcm and gcd of
+the block sizes inside it, whatever M is; divisor-chain words build no
+grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
+is one mixed level of radix M.  The enumeration budget charges the sum of
+the mixed levels' grids once for each pairing summed (an upper bound on
+the pass's mask tests), checked before any count.  A moment's word, or a
+covariance's two words together, are held to the pairing cap,
+``partitions.MAX_PAIRING_ORDER`` = 8 letters.  This cap and the table cap
+have no override.
 
 ``count_admissible`` has three methods: "auto" (the digit levels; the only
 one the moments and the covariance use), and two references the levels are
@@ -106,7 +103,7 @@ from .perms import (
 DEFAULT_BUDGET = 2**32
 
 #: entries kept by each cache whose keys grow with the input: the letter
-#: tuples' levels, the level orbit tables, the exponent groups and their values
+#: tuples' levels, the exponent groups and their values
 CACHE_ENTRIES = 256
 
 
@@ -179,19 +176,30 @@ def _factor_pairs(pairing: Pairing) -> list[tuple[int, int]]:
 
 
 class _PairingTable:
-    """The bipartite pairings of one order K as arrays.
+    """The bipartite pairings of order K as arrays, with no ``Pairing`` built.
 
-    ``fm[row]`` is the 0-based factor map of ``pairings[row]`` (int8, K! x K),
-    ``row`` maps a pairing's partner tuple to its row, and ``j_orbits`` gives
-    each pairing's number of j-orbits: ``_orbits`` with every letter a cycle
-    of its own and no swap, so the pair (t, f(t)) joins t and f(t).
+    ``fm`` (int8, K! x K) lists the 0-based factor maps, the permutations of
+    range(K) in lexicographic order: row k is the k-th pairing that
+    ``enumerate_bipartite_pairings(K)`` lists, and an order it refuses is
+    refused with its message before any row is listed.  ``j_orbits`` is
+    each row's ``_orbits`` with every letter a cycle of its own and no swap.
+    ``row``, partner tuple to row, is built from ``fm`` the first time a
+    count of one ``Pairing`` reads it.
     """
 
     def __init__(self, K: int):
-        self.pairings = enumerate_bipartite_pairings(K)
-        self.row = {p.partner: k for k, p in enumerate(self.pairings)}
-        self.fm = np.array([p.factor_map() for p in self.pairings], dtype=np.int8) - 1
+        pts.check_pairing_order(K)
+        perms = itertools.chain.from_iterable(itertools.permutations(range(K)))
+        self.fm = np.fromiter(perms, dtype=np.int8, count=K * math.factorial(K)).reshape(-1, K)
         self.j_orbits = _orbits(self.fm, (1,) * K, (False,) * K)
+
+    @cached_property
+    def row(self) -> dict[tuple[int, ...], int]:
+        n, K = self.fm.shape  # pi(2t - 1) = 2 f(t) and pi(2 f(t)) = 2t - 1, 1-based
+        partner = np.empty((n, 2 * K), dtype=np.int8)
+        partner[:, 0::2] = 2 * self.fm + 2
+        partner[np.arange(n)[:, None], 2 * self.fm + 1] = 2 * np.arange(K, dtype=np.int8) + 1
+        return dict(zip(map(tuple, partner.tolist()), range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -219,17 +227,6 @@ def _orbits(fm: np.ndarray, cycles: tuple[int, ...], swaps: tuple[bool, ...]) ->
     orbits = np.count_nonzero(labels == letters, axis=1).astype(np.int8)
     orbits.flags.writeable = False
     return orbits
-
-
-@lru_cache(maxsize=CACHE_ENTRIES)
-def _level_orbits(cycles: tuple[int, ...], swaps: tuple[bool, ...]) -> np.ndarray:
-    """``_orbits`` of a keep/swap level for every pairing of order sum(cycles).
-
-    The level contributes radix^orbits, for any M and radix, so the table is
-    kept per (cycles, swaps), for the ``CACHE_ENTRIES`` latest; there are
-    2^K swap patterns per cycle split.
-    """
-    return _orbits(_pairing_table(sum(cycles)).fm, cycles, swaps)
 
 
 class LevelSplit(NamedTuple):
@@ -438,42 +435,28 @@ def exact_mixed_cumulant(word: WickWord, budget: int | None = DEFAULT_BUDGET) ->
 # trace-cycle totals (a moment's one cycle; a covariance's two, connected)
 # ---------------------------------------------------------------------------
 
-def _connected_rows(m: int, r: int) -> np.ndarray:
-    """The rows of ``_pairing_table(m + r)`` whose pairings couple the two
-    trace cycles: some factor of the first maps beyond it."""
-    return np.flatnonzero((_pairing_table(m + r).fm[:, :m] >= m).any(axis=1))
-
-
-@lru_cache(maxsize=None)
-def _cycle_rows(cycles: tuple[int, ...]) -> tuple:
-    """The rows a sum around the trace ``cycles`` takes, and their factor
-    maps: every row of ``_pairing_table(m)`` for one cycle (m,), the
-    ``_connected_rows(m, r)`` for two (m, r).  Kept per cycles, so the
-    exponent groups of every swap pattern share them."""
-    fm = _pairing_table(sum(cycles)).fm
-    if len(cycles) == 1:
-        return slice(None), fm
-    rows = _connected_rows(*cycles)
-    return rows, fm[rows]
-
-
 class _ExponentGroups:
     """The rows of one or two trace cycles grouped by exponent vector.
 
-    ``fm`` holds the factor maps of the rows (``_cycle_rows``) of the trace
-    ``cycles``.  Row k's exponent vector is its j-orbits, then its
-    ``_level_orbits`` under each of the swap ``patterns``.  ``exponents``
-    lists the distinct vectors, in lexicographic order, ``group[k]`` is
-    row k's index among them (in the smallest integer type that holds it)
-    and ``sizes`` counts each group's rows.  Nothing here depends on M, P,
-    a radix or a letter.
+    ``fm`` holds the factor maps of the rows of ``_pairing_table(sum(cycles))``
+    that the trace ``cycles`` sum: all of them for one cycle (m,), and for two
+    (m, r) those coupling the cycles (some factor of the first maps beyond
+    it).  Row k's exponent vector is its j-orbits, then its ``_orbits`` on
+    these rows under each of the swap ``patterns``.  ``exponents`` lists the
+    distinct vectors, in lexicographic order, ``group[k]`` is row k's index
+    among them (in the smallest integer type that holds it) and ``sizes``
+    counts each group's rows; none depends on M, P, a radix or a letter.
     """
 
     def __init__(self, cycles: tuple[int, ...], patterns: tuple[tuple[bool, ...], ...]):
         self.cycles, self.patterns = cycles, patterns
-        rows, self.fm = _cycle_rows(cycles)
-        columns = np.stack([_pairing_table(sum(cycles)).j_orbits] +
-                           [_level_orbits(cycles, swaps) for swaps in patterns], axis=1)[rows]
+        table = _pairing_table(sum(cycles))
+        self.fm, j_orbits = table.fm, table.j_orbits
+        if len(cycles) > 1:  # the rows coupling the cycles
+            coupled = (self.fm[:, :cycles[0]] >= cycles[0]).any(axis=1)
+            self.fm, j_orbits = self.fm[coupled], j_orbits[coupled]
+        columns = np.stack([j_orbits] + [_orbits(self.fm, cycles, swaps) for swaps in patterns],
+                           axis=1)
         # every exponent lies in [0, K], so a row packs into one base-(K + 1)
         # key, j-orbits first, and the keys sort as the rows do.  A letter
         # switches between keep and swap only at its block size, so there
@@ -505,8 +488,7 @@ def _group_values(groups: _ExponentGroups, bases: tuple[int, ...]) -> tuple[int,
 
     Kept by (cycles, patterns, bases), not by the groups object, which the
     group cache may drop and build again equal, for the ``CACHE_ENTRIES``
-    latest keys (``_GROUP_VALUES``): a word or covariance of the same levels
-    and P raises no power again.
+    latest keys (``_GROUP_VALUES``).
     """
     key = (groups.cycles, groups.patterns, bases)
     values = _GROUP_VALUES.get(key)
@@ -520,13 +502,11 @@ def _group_values(groups: _ExponentGroups, bases: tuple[int, ...]) -> tuple[int,
 
 def _cycle_total(cycles: tuple[int, ...], letters: tuple, P: int, budget: int | None) -> int:
     """The admissible tuples summed over the rows of the trace ``cycles``
-    (``_cycle_rows``), the ``letters`` running around them in turn: the
+    (``_ExponentGroups``), the ``letters`` running around them in turn: the
     integer sum over exponent groups g of value_g (``_group_values``) times
     S_g, the group's row count, or with mixed levels its rows' mixed counts
-    summed.  The pairing cap refuses more than
-    ``partitions.MAX_PAIRING_ORDER`` letters; then ``budget`` is checked
-    once, against the number of rows times the grids, before each mixed
-    level's one grid pass for all the rows.
+    summed.  The pairing cap refuses first; then ``budget`` is checked once,
+    against the number of rows times the grids, before any grid pass.
     """
     levels, patterns, radices, mixed = _letter_levels(letters)
     groups = _exponent_groups(cycles, patterns)

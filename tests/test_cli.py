@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import re
@@ -571,3 +572,37 @@ def test_selftest_is_imported_by_its_command_only():
     lines = proc.stdout.splitlines()
     assert lines[0] == "False" and lines[-1] == "True"
     assert "criterion 1: PASS" in proc.stdout
+
+
+def test_errors_name_the_flag_or_file_line_they_come_from(tmp_path, capsys):
+    # each of these once printed int()'s own message, naming neither the
+    # flag nor the file; all still exit 2
+    code, out, err = run(capsys, "selftest", "--criteria", "a")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --criteria 'a' has an item that is not an integer")
+    for flag, value in (("--b", "2.5"), ("--d", "2.5"), ("--b", "0")):
+        sides = {"--b": "2", "--d": "2", flag: value}
+        code, _, err = run(capsys, "limit", *itertools.chain(*sides.items()))
+        assert code == 2 and f"error: {flag} '{value}' is not a positive integer or inf" in err
+    dfile = tmp_path / "theta.txt"
+    dfile.write_text("2\n\n1.5\n4\n")
+    code, _, err = run(capsys, "moment", "--M", "4", "--word", f"D({dfile})")
+    assert code == 2 and f"error: D-file {dfile} line 3: '1.5' is not 1 integer" in err
+    pfile = tmp_path / "table.txt"
+    pfile.write_text("1 1 1 1\n1 2 x 1\n")
+    code, _, err = run(capsys, "count", "--M", "2", "--a", f"P({pfile})", "--b", "I")
+    assert code == 2 and f"error: P-file {pfile} line 2: '1 2 x 1' is not 4 integers" in err
+
+
+def test_mc_cumulant_takes_words_up_to_the_noncrossing_cap(capsys):
+    # a sampled cumulant lists no pairing, so it takes up to MAX_NC_ORDER = 10
+    # letters where the exact one stops at the pairing cap of 8
+    code, _, err = run(capsys, "cumulant", "--M", "2", "--word", ",".join("I" * 11),
+                       "--mc", "--samples", "2", "--seed", "1")
+    assert code == 3 and "m = 11 exceeds the NC enumeration cap 10" in err
+    nine = ",".join("I" * 9)
+    code, out, _ = run(capsys, "cumulant", "--M", "2", "--word", nine,
+                       "--mc", "--samples", "2", "--seed", "1")
+    assert code == 0 and json.loads(out)["samples"] == 2
+    code, _, err = run(capsys, "cumulant", "--M", "2", "--word", nine)
+    assert code == 3 and "9 letters have 9! = 362880 pairings" in err

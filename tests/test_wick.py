@@ -600,14 +600,12 @@ def test_pairing_row_counts_match_enumeration():
                         enumerated_row_counts(level, spec, fm, range(len(fm))), (perms, cycles)
     # the 4 + 3 covariance at M = 72: 6^7 points per level, a sample of rows
     perms = tuple(PartialTranspose(72 // d, d) for d in TWO_MIXED_SIZES) + (Identity(72),) * 3
-    spec, fm = cyclic_spec((4, 3)), wk._pairing_table(7).fm
-    rows = wk._connected_rows(4, 3)
-    sample = rng.choice(len(rows), 12, replace=False)
+    spec, fm = cyclic_spec((4, 3)), wk._exponent_groups((4, 3), ()).fm
+    sample = rng.choice(len(fm), 12, replace=False)
     for level in pm.digit_levels(perms):
         if isinstance(level, pm.MixedLevel):
-            counts = pm.count_pairing_rows(level, spec, fm[rows])
-            assert counts[sample].tolist() == \
-                enumerated_row_counts(level, spec, fm, rows[sample])
+            counts = pm.count_pairing_rows(level, spec, fm)
+            assert counts[sample].tolist() == enumerated_row_counts(level, spec, fm, sample)
 
 
 def test_pairing_row_counts_across_grid_chunks(monkeypatch):
@@ -712,12 +710,14 @@ def enumerated_table_counts(cache, perms, cycles):
 
 
 def table_counts(perms, cycles):
-    """The i-count of every pairing from the orbit tables of a chain word's levels."""
-    counts = np.ones(math.factorial(len(perms)), dtype=np.int64)
+    """The i-count of every pairing from the orbits of a chain word's levels
+    on every row of the order's pairing table."""
+    fm = wk._pairing_table(len(perms)).fm
+    counts = np.ones(len(fm), dtype=np.int64)
     for level in pm.digit_levels(perms):
         assert not isinstance(level, pm.MixedLevel)
         _, radix, swaps = level
-        counts *= radix ** wk._level_orbits(cycles, swaps).astype(np.int64)
+        counts *= radix ** wk._orbits(fm, cycles, swaps).astype(np.int64)
     return counts.tolist()
 
 
@@ -761,24 +761,24 @@ def test_orbit_tables_match_enumeration_exhaustive():
                                                      equalities)
 
 
-def per_row_product(P, perms, cycles, rows):
-    """#A of each of the ``rows`` of the order's pairing table as one product
-    per row, no groups: P^(j-orbits), radix^orbits of each keep/swap level
-    (its ``_level_orbits`` table) and each mixed level's one-pass count."""
-    table = wk._pairing_table(len(perms))
-    counts = [P ** j for j in table.j_orbits[rows].tolist()]
+def per_row_product(P, perms, cycles, fm):
+    """#A of each row of the factor maps ``fm`` as one product per row, no
+    groups: P^(j-orbits), radix^orbits of each keep/swap level (``_orbits``
+    on the rows) and each mixed level's one-pass count."""
+    K = len(perms)
+    counts = [P ** j for j in wk._orbits(fm, (1,) * K, (False,) * K).tolist()]
     for level in pm.digit_levels(perms):
         if isinstance(level, pm.MixedLevel):
-            factors = pm.count_pairing_rows(level, cyclic_spec(cycles), table.fm[rows]).tolist()
+            factors = pm.count_pairing_rows(level, cyclic_spec(cycles), fm).tolist()
         else:
-            factors = [level[1] ** n for n in wk._level_orbits(cycles, level[2])[rows].tolist()]
+            factors = [level[1] ** n for n in wk._orbits(fm, cycles, level[2]).tolist()]
         counts = [a * b for a, b in zip(counts, factors)]
     return counts
 
 
 def auto_row_counts(perms, cycles):
     """The i-count of every pairing of order K, level by level."""
-    return per_row_product(1, perms, cycles, np.arange(math.factorial(len(perms))))
+    return per_row_product(1, perms, cycles, wk._pairing_table(len(perms)).fm)
 
 
 def test_pairing_row_counts_match_enumeration_exhaustive():
@@ -832,24 +832,76 @@ def test_pairing_row_counts_on_random_covariances(words):
     # enumeration, and the covariance against the enumerated connected sum
     w1, w2 = words
     perms, spec = w1.perms + w2.perms, cyclic_spec((w1.m, w2.m))
-    fm = wk._pairing_table(len(perms)).fm
-    rows = wk._connected_rows(w1.m, w2.m)
+    fm = wk._exponent_groups((w1.m, w2.m), ()).fm
     for level in pm.digit_levels(perms):
         if isinstance(level, pm.MixedLevel):
-            assert pm.count_pairing_rows(level, spec, fm[rows]).tolist() == \
-                enumerated_row_counts(level, spec, fm, rows)
+            assert pm.count_pairing_rows(level, spec, fm).tolist() == \
+                enumerated_row_counts(level, spec, fm, range(len(fm)))
     assert wk.exact_trace_covariance(w1, w2) == enumerated_covariance(w1, w2)
 
 
 def test_pairing_table_j_orbits_are_the_cycles_of_f():
     for K in range(1, pts.MAX_PAIRING_ORDER + 1):
         table = wk._pairing_table(K)
-        assert [p.partner for p in table.pairings] == \
-            [p.partner for p in pts.enumerate_bipartite_pairings(K)]
+        pairings = pts.enumerate_bipartite_pairings(K)
         for row, f in enumerate(table.fm.tolist()):
             assert table.j_orbits[row] == cycle_count(f)
         if K <= 6:  # a lone pairing's one orbit_labels row reads the same
-            assert [wk._j_orbit_count(p) for p in table.pairings] == table.j_orbits.tolist()
+            assert [wk._j_orbit_count(p) for p in pairings] == table.j_orbits.tolist()
+
+
+def test_pairing_table_rows_are_the_enumerated_pairings():
+    # row k of the table is the k-th enumerated pairing: its factor map, and
+    # the row that a count of the pairing reads from its partner tuple
+    for K in range(1, pts.MAX_PAIRING_ORDER + 1):
+        table = wk._pairing_table(K)
+        pairings = pts.enumerate_bipartite_pairings(K)
+        assert table.fm.dtype == np.int8
+        assert (table.fm + 1).tolist() == [list(p.factor_map()) for p in pairings]
+        assert [table.row[p.partner] for p in pairings] == list(range(len(pairings)))
+        assert len(table.row) == len(pairings)
+
+
+def test_pairing_table_is_refused_above_the_cap_before_listing(monkeypatch):
+    # nine letters are refused with the enumeration's own message and cost,
+    # and no permutation of them is listed first
+    with pytest.raises(ResourceLimitError) as enumerated:
+        pts.enumerate_bipartite_pairings(9)
+
+    def listed(*args):
+        raise AssertionError("a permutation was listed")
+
+    monkeypatch.setattr(itertools, "permutations", listed)
+    wk._pairing_table.cache_clear()
+    with pytest.raises(ResourceLimitError) as refused:
+        wk._pairing_table(9)
+    assert str(refused.value) == str(enumerated.value) == (
+        "9 letters have 9! = 362880 pairings, over the pairing enumeration cap of 8 letters")
+    assert refused.value.cost == enumerated.value.cost == 362880
+
+
+def test_cumulant_and_covariance_construct_no_pairing(monkeypatch):
+    # with the pairing tables and exponent groups cold, an 8-letter cumulant
+    # and a 4 + 4 covariance build their rows as arrays, with no Pairing
+    built = []
+    init = pts.Pairing.__init__
+
+    def spy(self, partner):
+        built.append(partner)
+        init(self, partner)
+
+    wk._pairing_table.cache_clear()
+    wk._exponent_groups.cache_clear()
+    monkeypatch.setattr(pts.Pairing, "__init__", spy)
+    M = 8
+    w = word(M, M, *[PartialTranspose(2, 4), Transpose(M), PartialTranspose(4, 2, Side.LEFT),
+                     Identity(M)] * 2)
+    assert wk.exact_mixed_cumulant(w) == Fraction(215169, 262144)
+    w1 = word(M, M, PartialTranspose(2, 4), Transpose(M), PartialTranspose(4, 2, Side.LEFT),
+              Identity(M))
+    w2 = word(M, M, PartialTranspose(4, 2), Identity(M), Transpose(M), PartialTranspose(2, 4))
+    assert wk.exact_trace_covariance(w1, w2) == per_row_covariance(w1, w2)
+    assert built == []
 
 
 @st.composite
@@ -901,14 +953,11 @@ def test_orbit_tables_are_kept_per_cycles_and_swaps():
         return (PartialTranspose(2, 2), Transpose(4), Identity(4),
                 PartialTranspose(2, 2, Side.LEFT), PartialTranspose(2, 2), Transpose(4))
 
-    wk._level_orbits.cache_clear()
     w = word(4, 2, *letters())
     moment = wk.exact_mixed_moment(w)
     assert moment.tuple_counts == fast_counts(w)
     cov = wk.exact_trace_covariance(w.subword((1, 2, 3)), w.subword((4, 5, 6)))
     assert cov == enumerated_covariance(w.subword((1, 2, 3)), w.subword((4, 5, 6)))
-    for _, _, swaps in pm.digit_levels(w.perms):
-        assert wk._level_orbits((6,), swaps) is not wk._level_orbits((3, 3), swaps)
     fresh = word(4, 2, *letters())
     assert wk.exact_mixed_moment(fresh).tuple_counts == moment.tuple_counts
     assert wk.exact_trace_covariance(fresh.subword((1, 2, 3)), fresh.subword((4, 5, 6))) == cov
@@ -1053,12 +1102,13 @@ def test_connected_rows_couple_the_two_cycles():
     for K in range(2, pts.MAX_PAIRING_ORDER + 1):
         pairings = pts.enumerate_bipartite_pairings(K)
         for m in range(1, K):
-            rows = wk._connected_rows(m, K - m)
-            assert len(rows) == math.factorial(K) - math.factorial(m) * math.factorial(K - m)
-            assert rows.tolist() == [k for k, pi in enumerate(pairings)
-                                     if any(pi(a) > 2 * m for a in range(1, 2 * m + 1))]
-    table = wk._pairing_table(2)
-    assert [repr(table.pairings[k]) for k in wk._connected_rows(1, 1)] == ["(1,4)(2,3)"]
+            fm = wk._exponent_groups((m, K - m), ()).fm
+            assert len(fm) == math.factorial(K) - math.factorial(m) * math.factorial(K - m)
+            assert (fm + 1).tolist() == [list(pi.factor_map()) for pi in pairings
+                                         if any(pi(a) > 2 * m for a in range(1, 2 * m + 1))]
+    fm = wk._exponent_groups((1, 1), ()).fm
+    assert [repr(pi) for pi in pts.enumerate_bipartite_pairings(2)
+            if list(pi.factor_map()) in (fm + 1).tolist()] == ["(1,4)(2,3)"]
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1117,7 @@ def test_connected_rows_couple_the_two_cycles():
 
 def fast_row_counts(w, rows):
     """"fast" (the whole i-grid, pairing by pairing) at each of the ``rows``."""
-    pairings = wk._pairing_table(w.m).pairings
+    pairings = pts.enumerate_bipartite_pairings(w.m)
     return [wk.count_admissible(pairings[row], w, method="fast") for row in rows]
 
 
@@ -1149,7 +1199,8 @@ def test_a_word_takes_one_group_entry_and_one_pass_per_mixed_level(monkeypatch):
         passes.clear()
         counts = [wk.count_admissible(pi, w) for pi in pairings]
         assert passes == mixed
-        assert counts == w.row_counts == per_row_product(P, w.perms, (4,), np.arange(24))
+        assert counts == w.row_counts == per_row_product(P, w.perms, (4,),
+                                                         wk._pairing_table(4).fm)
         assert wk.exact_mixed_moment(w).tuple_counts == dict(zip(pairings, counts))
         assert passes == mixed
     info = wk._exponent_groups.cache_info()
@@ -1163,7 +1214,8 @@ def test_a_word_takes_one_group_entry_and_one_pass_per_mixed_level(monkeypatch):
 def per_row_covariance(w1, w2):
     """Cov(Tr, Tr) as the sum of ``per_row_product`` over the connected rows."""
     m, r, (M, P) = w1.m, w2.m, (w1.shape.M, w1.shape.P)
-    total = sum(per_row_product(P, w1.perms + w2.perms, (m, r), wk._connected_rows(m, r)))
+    total = sum(per_row_product(P, w1.perms + w2.perms, (m, r),
+                                wk._exponent_groups((m, r), ()).fm))
     return Fraction(total, M ** (m + r))
 
 
@@ -1232,7 +1284,7 @@ def test_exponent_groups_are_kept_per_cycles_and_patterns():
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     patterns = tuple(sorted(level[2] for level in pm.digit_levels(w.perms * 2)))
     groups = wk._exponent_groups((2, 2), patterns)
-    assert sum(groups.sizes) == len(groups.group) == len(wk._connected_rows(2, 2)) == 20
+    assert sum(groups.sizes) == len(groups.group) == len(groups.fm) == 20
 
 
 @st.composite
@@ -1292,10 +1344,11 @@ def test_full_join_pairings_vanish_except_nu(
 def row_unique_groups(cycles, patterns):
     """Exponents, group and sizes of the rows of ``cycles`` by a 2-D
     ``np.unique`` over the exponent columns, row by row."""
-    table = wk._pairing_table(sum(cycles))
-    rows = slice(None) if len(cycles) == 1 else wk._connected_rows(*cycles)
-    columns = [table.j_orbits] + [wk._level_orbits(cycles, swaps) for swaps in patterns]
-    exponents, group = np.unique(np.stack(columns, axis=1)[rows], axis=0, return_inverse=True)
+    fm = wk._exponent_groups(cycles, ()).fm
+    K = sum(cycles)
+    columns = [wk._orbits(fm, (1,) * K, (False,) * K)] + \
+        [wk._orbits(fm, cycles, swaps) for swaps in patterns]
+    exponents, group = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)
     group = group.ravel()
     return ([tuple(e) for e in exponents.tolist()], group.tolist(),
             np.bincount(group, minlength=len(exponents)).tolist())
@@ -1334,18 +1387,15 @@ def test_caches_that_grow_with_the_input_are_bounded():
     letter_tuples = [perms for m in range(1, 9)
                      for perms in itertools.product((Identity(2), Transpose(2)), repeat=m)]
     assert min(len(keys), len(letter_tuples)) > bound
-    for cache in (wk._level_orbits, wk._exponent_groups, wk._chain_levels):
+    for cache in (wk._exponent_groups, wk._chain_levels):
         cache.cache_clear()
     wk._GROUP_VALUES.clear()
-    orbits = [wk._level_orbits(*key) for key in keys]
     groups = [wk._exponent_groups(cycles, (s,)) for cycles, s in keys]
     levels = [wk._letter_levels(perms) for perms in letter_tuples]
     values = [wk._group_values(g, (3, 2)) for g in groups]
-    for cache in (wk._level_orbits, wk._exponent_groups, wk._chain_levels):
+    for cache in (wk._exponent_groups, wk._chain_levels):
         assert cache.cache_info().currsize == bound
     assert len(wk._GROUP_VALUES) == bound
-    again = wk._level_orbits(*keys[0])
-    assert again is not orbits[0] and np.array_equal(again, orbits[0])
     again = wk._exponent_groups(keys[0][0], (keys[0][1],))
     assert again is not groups[0]
     assert (again.exponents, again.group.tolist(), again.sizes) == \
@@ -1408,7 +1458,7 @@ def test_cached_levels_are_the_fresh_levels(words):
     K = len(perms)
     radices = [level.radix for level in fresh.mixed]
     if radices:
-        cost = len(wk._connected_rows(w1.m, w2.m)) * sum(x**K for x in radices)
+        cost = len(wk._exponent_groups((w1.m, w2.m), ()).fm) * sum(x**K for x in radices)
         for _ in range(2):
             with pytest.raises(ResourceLimitError):
                 wk.exact_trace_covariance(w1, w2, budget=cost - 1)
