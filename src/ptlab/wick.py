@@ -56,7 +56,8 @@ the block sizes inside it, whatever M is; divisor-chain words build no
 grid.  A word with a ``D(file)``, ``P(file)``, composition or table letter
 is one mixed level of radix M.  The enumeration budget charges the sum of
 the mixed levels' grids once for each pairing summed (an upper bound on
-the pass's mask tests), checked before any count.  A moment's word, or a
+the pass's mask tests), checked before any count; a trace-cycle total with
+no mixed level has no grid and makes no check.  A moment's word, or a
 covariance's two words together, are held to the pairing cap,
 ``partitions.MAX_PAIRING_ORDER`` = 8 letters.  This cap and the table cap
 have no override.
@@ -505,14 +506,16 @@ def _cycle_total(cycles: tuple[int, ...], letters: tuple, P: int, budget: int | 
     (``_ExponentGroups``), the ``letters`` running around them in turn: the
     integer sum over exponent groups g of value_g (``_group_values``) times
     S_g, the group's row count, or with mixed levels its rows' mixed counts
-    summed.  The pairing cap refuses first; then ``budget`` is checked once,
-    against the number of rows times the grids, before any grid pass.
+    summed.  The pairing cap refuses first; then, with mixed levels,
+    ``budget`` is checked once, against the number of rows times the grids,
+    before any grid pass.  Without them there is no grid, and the check
+    (which could not refuse) is not made.
     """
     levels, patterns, radices, mixed = _letter_levels(letters)
     groups = _exponent_groups(cycles, patterns)
-    check_budget(levels, len(letters), budget, len(groups.group))
     sizes = groups.sizes
     if mixed:
+        check_budget(levels, len(letters), budget, len(groups.group))
         sizes = [0] * len(sizes)
         arg_spec = sum(map(_cyclic_arg_spec, cycles, itertools.accumulate((0,) + cycles)), [])
         counts = _times_mixed_counts([1] * len(groups.group), mixed, arg_spec, groups.fm)

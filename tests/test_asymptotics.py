@@ -1,8 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from ptlab import asymptotics as ay
+from ptlab import cli
+from ptlab import partitions as pts
 from ptlab import perms as pm
 from ptlab import wick as wk
 from ptlab.asymptotics import INF, ShapeFamily
@@ -51,6 +55,29 @@ def test_limit_moments():
     c = Fraction(2, 3)
     got = ay.limit_moments_gamma(3, 1, INF, c)
     assert got == [c, c + c * c, c + 3 * c * c + c**3]
+
+
+def test_limit_moments_on_integers_match_the_unscaled_recursion(capsys):
+    # limit_moments_gamma runs the recursion on S^k kappa_k, S = q b d; the
+    # plain recursion on the Fraction cumulants gives the same moments
+    for c in (Fraction(1), Fraction(2, 3), Fraction(5, 2)):
+        for b, d in itertools.product((1, 2, 3, 5, INF), repeat=2):
+            got = ay.limit_moments_gamma(12, b, d, c)
+            moment = pts.free_moments(lambda w: ay.limit_cumulant_gamma(len(w), b, d, c))
+            assert got == [moment(("w",) * n) for n in range(1, 13)], (b, d, c)
+            assert all(type(x) is Fraction for x in got)
+            S = c.denominator * math.prod(x for x in (b, d) if x != INF)
+            for k in range(1, ay.MAX_LIMIT_ORDER + 1):
+                assert (ay.limit_cumulant_gamma(k, b, d, c) * S**k).denominator == 1, (k, b, d, c)
+    # free_moments is free_cumulants_to_moments with its memo kept across orders
+    c = Fraction(5, 2)
+    assert ay.limit_moments_gamma(12, 3, INF, c)[-1] == pts.free_cumulants_to_moments(
+        lambda w: ay.limit_cumulant_gamma(len(w), 3, INF, c), ("w",) * 12)
+    assert ay.MAX_LIMIT_ORDER == 17
+    code = cli.main(["limit", "--b", "2", "--d", "3", "--orders", "18"])
+    assert (code, capsys.readouterr().err) == (
+        3, "resource refusal: limit order 18 exceeds the cap 17: the moments up to it sum "
+           "2^18 - 1 = 262143 cumulant products\n")
 
 
 def test_family_validation():

@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,29 @@ def test_pairing_invariants_and_validation():
         Pairing((3, 4, 1, 2))    # odd-odd pairs
     with pytest.raises(ValueError):
         Pairing((2, 1, 3))       # odd length
+    # each malformed partner is refused with its own message, at the first
+    # position that breaks it
+    for partner, message in (
+            ((2, 1, 3), "partner array must have even positive length"),
+            ((), "partner array must have even positive length"),
+            ((5, 1, 4, 3), "not a fixed-point-free involution at 1"),   # entry above 2m
+            ((2, 1, 0, 3), "not a fixed-point-free involution at 3"),   # entry below 1
+            ((1, 2), "not a fixed-point-free involution at 1"),         # fixed point
+            ((2, 1, 3, 4), "not a fixed-point-free involution at 3"),   # fixed point
+            ((2, 3, 4, 1), "not a fixed-point-free involution at 1"),   # no involution
+            ((3, 4, 1, 2), "pair (1, 3) is not odd-even bipartite"),
+            ((2, 1, 5, 6, 3, 4), "pair (3, 5) is not odd-even bipartite")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Pairing(partner)
+    # the enumeration builds each pairing in one pass and lists what
+    # from_pairs builds from each permutation of the even positions, in order
+    for m in range(1, 8):
+        odds, evens = range(1, 2 * m + 1, 2), range(2, 2 * m + 1, 2)
+        listed = pts.enumerate_bipartite_pairings(m)
+        expected = [Pairing.from_pairs(zip(odds, images))
+                    for images in itertools.permutations(evens)]
+        assert [p.partner for p in listed] == [p.partner for p in expected]
+        assert all(type(p) is Pairing and type(p.partner) is tuple and p.m == m for p in listed)
 
 
 def test_enumerate_bipartite_pairings():
@@ -238,6 +263,77 @@ def test_moment_cumulant_round_trip_random():
             back = pts.free_cumulants_to_moments(
                 lambda sub: pts.moments_to_free_cumulants(moment, sub), word)
             assert back == moment(word)
+
+
+def reference_cumulant(moment, word):
+    """moments_to_free_cumulants as it was before its blocks were kept as
+    positions: every proper partition of ``_nc_blocks`` visited in order,
+    each block's subword built and its cumulant looked up at every visit."""
+    memo = {}
+
+    def kappa(w):
+        if w in memo:
+            return memo[w]
+        total = moment(w)
+        if len(w) > 1:
+            for blocks in pts._nc_blocks(len(w)):
+                if len(blocks) == 1:
+                    continue
+                prod = 1
+                for b in blocks:
+                    prod = prod * kappa(tuple(w[t - 1] for t in b))
+                total = total - prod
+        memo[w] = total
+        return total
+
+    return kappa(tuple(word))
+
+
+def test_cumulant_recursion_keeps_its_order():
+    # the Monte Carlo cumulants' float bits depend on the order of every
+    # multiply and subtract, so they are checked bit for bit against the
+    # reference loop; each subword's moment depends on the subword alone
+    def seeded(w):
+        return random.Random(repr(w))
+
+    functionals = {
+        "float": lambda w: seeded(w).uniform(-3, 3),
+        "ndarray": lambda w: np.array([seeded(w).uniform(-3, 3) for _ in range(4)]),
+        "int": lambda w: seeded(w).randint(-50, 50),
+        "Fraction": lambda w: Fraction(seeded(w).randint(-50, 50), seeded(w).randint(1, 9)),
+    }
+    rng = random.Random(7)
+    words = [tuple(rng.choice("abc") for _ in range(n)) for n in range(1, 8) for _ in range(4)]
+    words += [tuple(range(7)), ("a",) * 7]
+    for name, moment in functionals.items():
+        for word in words:
+            asked_got, asked_want = [], []
+            got = pts.moments_to_free_cumulants(lambda w: asked_got.append(w) or moment(w), word)
+            want = reference_cumulant(lambda w: asked_want.append(w) or moment(w), word)
+            assert asked_got == asked_want, (name, word)  # subwords asked in the same order
+            assert type(got) is type(want), (name, word)
+            if name in ("float", "ndarray"):
+                assert [x.hex() for x in np.ravel(got).tolist()] == \
+                    [x.hex() for x in np.ravel(want).tolist()], (name, word)
+            else:
+                assert got == want, (name, word)
+    # a moment of 0 or 0.0 is a memo hit like any other: each distinct
+    # subword's moment is asked for once
+    for zero in (0, 0.0):
+        asked = []
+        pts.moments_to_free_cumulants(lambda w: asked.append(w) or zero, tuple(range(6)))
+        assert len(asked) == len(set(asked)) == 2**6 - 1
+    # the per-order structure is the proper partitions of _nc_blocks, in order
+    for n in range(1, pts.MAX_NC_ORDER + 1):
+        blocks, parts = pts._nc_proper(n)
+        assert [tuple(tuple(x + 1 for x in blocks[i]) for i in part) for part in parts] == \
+            [p for p in pts._nc_blocks(n) if len(p) > 1]
+        assert len(set(blocks)) == len(blocks)
+    # eleven letters are refused by the noncrossing cap, with its cost
+    with pytest.raises(ResourceLimitError, match=r"^m = 11 exceeds the NC enumeration cap 10$") \
+            as info:
+        pts.moments_to_free_cumulants(lambda w: 1, tuple(range(11)))
+    assert info.value.cost == pts.catalan(11)
 
 
 def nc_sum(cumulant, word):

@@ -158,6 +158,33 @@ def test_cumulant_refusals_are_the_moments(monkeypatch):
         == nc_cumulant_of_moments(w)
 
 
+def test_cycle_total_checks_the_budget_only_with_mixed_levels(monkeypatch):
+    # chain letters build no grid, so no budget can refuse them and none is
+    # checked; a mixed level is charged the rows times its grids, as before
+    M = 8
+    chain = (PartialTranspose(2, 4), Transpose(M), PartialTranspose(4, 2, Side.LEFT),
+             Identity(M)) * 2
+    check = pm.check_budget
+    checked = []
+    monkeypatch.setattr(wk, "check_budget", lambda *args: checked.append(args) or check(*args))
+    for cycles in ((8,), (4, 4), (3, 5)):
+        assert wk._cycle_total(cycles, chain, 5, 0) == \
+            wk._cycle_total(cycles, chain, 5, wk.DEFAULT_BUDGET) == \
+            wk._cycle_total(cycles, chain, 5, None)
+    assert checked == []
+    M = 72
+    mixed = tuple(PartialTranspose(M // d, d) for d in TWO_MIXED_SIZES)
+    for cycles, rows in (((4,), 24), ((2, 2), 20)):
+        cost = rows * 2 * 6**4
+        with pytest.raises(ResourceLimitError, match=rf"^enumeration cost {rows} pairings x "
+                           rf"\(6\^4 \+ 6\^4 = 2592\) = {cost} exceeds budget {cost - 1}$") \
+                as info:
+            wk._cycle_total(cycles, mixed, M, cost - 1)
+        assert info.value.cost == cost
+        assert wk._cycle_total(cycles, mixed, M, cost) == wk._cycle_total(cycles, mixed, M, None)
+    assert len(checked) == 6
+
+
 def nc_cumulant_of_moments(w):
     """The reference cumulant: the noncrossing recursion over the totals of
     ``exact_mixed_moment``'s per-pairing reports."""
